@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     DegenerateSampleError,
     DomainError,
+    InternalError,
     MalformedInputError,
     NumericError,
     SamplingError,
@@ -90,7 +91,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmmError", "AxiomReport", "ChainError", "ClassificationError",
     "ClassificationReport", "ConfigError", "DegenerateSampleError", "DomainError",
-    "DriftSeries", "FeeDecomposition", "HyperplaneFit", "LineFit",
+    "DriftSeries", "FeeDecomposition", "HyperplaneFit", "InternalError", "LineFit",
     "MalformedInputError", "NumericError", "OrbitConfig", "OrbitSample",
     "RuleSpec", "SamplingError", "SliceReport", "SwapRule", "Trajectory",
     "TrialConfig", "UsageError", "VerticalFitError", "Witness",

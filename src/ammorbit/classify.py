@@ -24,6 +24,7 @@ from .errors import (
     SamplingError,
     UsageError,
     VerticalFitError,
+    require_integer,
 )
 from .rand import log_uniform, trial_rng
 from .rules import SwapRule, swap
@@ -51,6 +52,8 @@ class OrbitConfig:
     amount_range: tuple[float, float] = (1e-3, 1.0)
 
     def __post_init__(self):
+        require_integer("seed", self.seed)
+        require_integer("samples", self.samples)
         if not (0 <= self.seed < 2**64):
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r}")
         if self.samples < MIN_ORBIT_SAMPLES:

@@ -2,9 +2,12 @@
 
 Every error raised on purpose derives from AmmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
+require_integer is the config objects' shared integer check.
 """
 
 from __future__ import annotations
+
+import numbers
 
 
 class AmmError(Exception):
@@ -25,6 +28,12 @@ class UsageError(AmmError):
 
 class ConfigError(AmmError):
     """A rule or harness configuration parameter was out of range."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ConfigError unless value is an integer (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class NumericError(AmmError):
@@ -62,3 +71,7 @@ class VerticalFitError(AmmError):
 
 class ClassificationError(AmmError):
     """A fit succeeded numerically but does not describe a valid invariant."""
+
+
+class InternalError(AmmError):
+    """A library invariant broke: a bug in ammorbit, not in the caller's input."""

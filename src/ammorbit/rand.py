@@ -9,6 +9,7 @@ embedded in reports so a witness can name the exact derivation.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +21,29 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial of a seeded run."""
     return np.random.Generator(np.random.Philox(key=(seed ^ trial) & _MASK64))
+
+
+def trial_streams(seed: int) -> Callable[[int], np.random.Generator]:
+    """Generators for the trials of one seeded run, from one re-keyed Philox.
+
+    ``streams(trial)`` draws exactly what ``trial_rng(seed, trial)``
+    draws, without building a fresh bit generator per trial.  Each call
+    re-keys and returns the same generator, so the previous trial's
+    stream ends there.
+    """
+    bits = np.random.Philox(key=seed & _MASK64)
+    rng = np.random.Generator(bits)
+    # A fresh generator's state: zero counter, empty buffer, no cached
+    # 32-bit half.  The setter copies it, so only the key changes per trial.
+    fresh = bits.state
+    key = fresh["state"]["key"]
+
+    def streams(trial: int) -> np.random.Generator:
+        key[0] = (seed ^ trial) & _MASK64
+        bits.state = fresh
+        return rng
+
+    return streams
 
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):

@@ -35,6 +35,15 @@ class SwapRule:
     weights is set for the built-in weighted-product family and None for
     rules with no known invariant; the conformance harness never looks
     at it.
+
+    swap_batch is an optional vectorised swap_in: given states (B, n),
+    token indices i and j (B,) and amounts (B,), it returns the (B, n)
+    post-trade states, each row equal bit for bit to swap_in on that row,
+    with a non-finite row where swap_in would raise.  A rule that sets
+    it must keep the default positive-orthant domain: the batch path
+    checks states itself, never calls domain, and passes only rows that
+    swap() accepts.  The conformance checks use it when present and run
+    one trial at a time through swap() when it is None.
     """
 
     name: str
@@ -42,6 +51,8 @@ class SwapRule:
     swap_in: Callable[[np.ndarray, int, int, float], np.ndarray] = field(repr=False)
     weights: np.ndarray | None = None
     domain: Callable[[np.ndarray], bool] = field(default=is_valid, repr=False)
+    swap_batch: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = (
+        field(default=None, repr=False))
 
     def invariant(self, s) -> float:
         """Value of the rule's conserved quantity at s, if it declares one."""
@@ -89,6 +100,44 @@ def _pair_swap(weights: np.ndarray, s: np.ndarray, i: int, j: int, amount: float
     return out
 
 
+def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+    """fn (a math-module function) applied elementwise.
+
+    np.log and np.exp may differ from libm in the last bit, so batch
+    kernels that must match their scalar twin bit for bit go through this.
+    """
+    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _exp_or_inf(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _pair_swap_batch(weights: np.ndarray, s: np.ndarray, i: np.ndarray, j: np.ndarray,
+                     amount: np.ndarray) -> np.ndarray:
+    """_pair_swap on every row: the same float operations in the same order."""
+    rows = np.arange(s.shape[0])
+    si = s[rows, i]
+    sj = s[rows, j]
+    wi = weights[i]
+    wj = weights[j]
+    new_i = si + amount
+    target = wi * _libm(math.log, si) + wj * _libm(math.log, sj)
+    z = (target - wi * _libm(math.log, new_i)) / wj
+    try:
+        new_j = _libm(math.exp, z)
+    except OverflowError:
+        # Where _pair_swap raises, the row gets a non-finite coordinate.
+        new_j = _libm(_exp_or_inf, z)
+    out = s.copy()
+    out[rows, i] = new_i
+    out[rows, j] = new_j
+    return out
+
+
 def weighted_product(weights: Sequence[float]) -> SwapRule:
     """Rule holding prod s_i**w_i fixed; a pair trade touches only (i, j)."""
     w = as_weights(weights)
@@ -96,11 +145,15 @@ def weighted_product(weights: Sequence[float]) -> SwapRule:
     def swap_in(s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
         return _pair_swap(w, s, i, j, amount)
 
+    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
+        return _pair_swap_batch(w, s, i, j, amount)
+
     if w.size == 2:
         name = f"wgm:{_format_weight(w[0])}"
     else:
         name = "wprod:" + ",".join(_format_weight(v) for v in w)
-    return SwapRule(name=name, dimension=int(w.size), swap_in=swap_in, weights=w)
+    return SwapRule(name=name, dimension=int(w.size), swap_in=swap_in, weights=w,
+                    swap_batch=swap_batch)
 
 
 def wgm(weight: float) -> SwapRule:
@@ -120,6 +173,7 @@ def product() -> SwapRule:
         dimension=2,
         swap_in=rule.swap_in,
         weights=rule.weights,
+        swap_batch=rule.swap_batch,
     )
 
 
@@ -220,6 +274,25 @@ def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
         )
     out.flags.writeable = False
     return out
+
+
+def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
+              amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """swap() on every row through rule.swap_batch.
+
+    Returns the outputs and a mask of the rows on which swap() returns
+    rather than raises; rows swap() would reject are computed on a
+    stand-in and masked out.  For rules whose domain is the default one.
+    """
+    ok = ((s > 0.0) & (s < math.inf)).all(axis=1) & (amount >= 0.0) & (amount < math.inf)
+    if not ok.all():
+        s = np.where(ok[:, None], s, 1.0)
+        amount = np.where(ok, amount, 0.0)
+    out = rule.swap_batch(s, i, j, amount)
+    zero = amount == 0.0
+    if zero.any():
+        out = np.where(zero[:, None], s, out)
+    return out, ok & np.isfinite(out).all(axis=1)
 
 
 def out_amount(rule: SwapRule, s, i: int, j: int, amount: float) -> float:

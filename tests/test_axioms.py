@@ -70,6 +70,20 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(tolerance=0.0)
 
+    @pytest.mark.parametrize("field", ["seed", "trials", "chain_length"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "3", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError):
+            TrialConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = TrialConfig(seed=np.uint64(7), trials=np.int64(50), chain_length=np.int32(8))
+        ref = TrialConfig(seed=7, trials=50, chain_length=8)
+        assert report_to_dict(check_pareto(wgm(0.3), cfg)) == \
+            report_to_dict(check_pareto(wgm(0.3), ref))
+        assert report_to_dict(check_unit_invariance(constant_sum(), cfg)) == \
+            report_to_dict(check_unit_invariance(constant_sum(), ref))
+
 
 class TestSoundRulesPass:
     @pytest.mark.parametrize("w", [0.1, 0.5, 0.9])

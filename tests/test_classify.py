@@ -56,6 +56,20 @@ class TestOrbitConfig:
         with pytest.raises(ConfigError):
             OrbitConfig(amount_range=(1.0, 0.1))
 
+    @pytest.mark.parametrize("field", ["seed", "samples"])
+    @pytest.mark.parametrize("value", [10.5, 16.0, True, "16", None])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ConfigError):
+            OrbitConfig(**{field: value})
+
+    def test_accepts_numpy_integers(self):
+        starts = [as_reserves([1.0, 1.0]), as_reserves([0.5, 3.0])]
+        got = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=np.uint64(4),
+                                                              samples=np.int64(16)))
+        want = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=4, samples=16))
+        assert json.dumps(classification_to_dict(got)) == \
+            json.dumps(classification_to_dict(want))
+
 
 class TestSampleOrbit:
     def test_cloud_stays_on_one_level(self):

@@ -1,0 +1,217 @@
+"""The batched trial engine against its scalar reference.
+
+A rule with swap_batch is checked a chunk of trials at a time; the same
+rule with swap_batch=None runs one trial at a time through the
+predicates.  Both must give identical reports, down to the witness.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ammorbit import (
+    InternalError,
+    SwapRule,
+    TrialConfig,
+    check_all,
+    check_pareto,
+    check_validity_invariance,
+    constant_sum,
+    parse_rule,
+    report_to_dict,
+    shrink,
+    weighted_product,
+    wgm,
+)
+from ammorbit import axioms
+from ammorbit.rand import log_uniform, trial_rng, trial_streams
+
+RULES = [f"wgm:{w}" for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)] + [
+    "wgm:1e-6", "product", "wprod:0.2,0.3,0.5"]
+SEEDS = [0, 7, 2**63 + 5]
+
+
+def scalar(rule: SwapRule) -> SwapRule:
+    return dataclasses.replace(rule, swap_batch=None)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("text", RULES)
+def test_batched_reports_match_scalar_reference(text, seed):
+    rule = parse_rule(text)
+    assert rule.swap_batch is not None
+    cfg = TrialConfig(seed=seed, trials=500)
+    batched = [report_to_dict(r) for r in check_all(rule, cfg)]
+    reference = [report_to_dict(r) for r in check_all(scalar(rule), cfg)]
+    assert batched == reference
+
+
+@pytest.mark.parametrize("ranges", [
+    # amounts and rescaled states overflow to inf
+    {"state_range": (1e-300, 1e300), "amount_range": (1e-30, 1e30)},
+    # amounts underflow to zero, which swap() passes through untouched
+    {"state_range": (1e-310, 1e-290), "amount_range": (1e-40, 1e-10)},
+], ids=["overflow", "underflow"])
+@pytest.mark.parametrize("text", ["wgm:0.3", "wgm:1e-6", "wprod:0.2,0.3,0.5"])
+def test_batched_reports_match_at_extreme_ranges(text, ranges):
+    rule = parse_rule(text)
+    for seed in (0, 7):
+        cfg = TrialConfig(seed=seed, trials=300, **ranges)
+        batched = [report_to_dict(r) for r in check_all(rule, cfg)]
+        assert batched == [report_to_dict(r) for r in check_all(scalar(rule), cfg)]
+
+
+def extreme_inputs(rng: np.random.Generator, n: int, count: int):
+    # Half the rows near 1, where np.log differs from libm most often,
+    # half at extreme magnitudes.
+    half = count // 2
+    s = np.concatenate([log_uniform(rng, 0.5, 2.0, (half, n)),
+                        log_uniform(rng, 1e-300, 1e300, (count - half, n))])
+    i = rng.integers(0, n, count)
+    j = (i + rng.integers(1, n, count)) % n
+    amount = np.concatenate([s[np.arange(half), i[:half]] * log_uniform(rng, 1e-3, 1.0, half),
+                             log_uniform(rng, 1e-300, 1e300, count - half)])
+    # A tiny trade out of a reserve at the largest double: rounding can
+    # push exp past it, so swap_in raises OverflowError for some weights.
+    s[-1] = 1.0
+    s[-1, 1] = np.finfo(float).max
+    i[-1], j[-1], amount[-1] = 0, 1, 1e-300
+    return s, i, j, amount
+
+
+@pytest.mark.parametrize("rule", [wgm(1e-6), wgm(0.08), wgm(0.3), wgm(1.0 - 1e-6),
+                                  weighted_product([0.2, 0.3, 0.5]),
+                                  weighted_product([1e-6, 0.5, 0.5 - 1e-6])],
+                         ids=lambda r: r.name)
+def test_swap_batch_matches_swap_in_bit_for_bit(rule):
+    s, i, j, amount = extreme_inputs(trial_rng(2030, rule.dimension), rule.dimension, 10_000)
+    batch = rule.swap_batch(s, i, j, amount)
+    for row in range(len(s)):
+        try:
+            want = rule.swap_in(s[row], int(i[row]), int(j[row]), float(amount[row]))
+        except OverflowError:
+            assert not np.all(np.isfinite(batch[row])), row
+            continue
+        assert batch[row].tobytes() == np.asarray(want).tobytes(), row
+
+
+@pytest.mark.parametrize("w", [0.3, 0.9])
+def test_overflowing_swap_is_a_violation_on_both_paths(w):
+    big = float(np.finfo(float).max)
+    cfg = TrialConfig(seed=3, trials=50, state_range=(big, big), amount_range=(1e-300, 1e-300))
+    batched = report_to_dict(check_validity_invariance(wgm(w), cfg))
+    assert not batched["passed"]
+    assert "OverflowError" in batched["witness"]["observed"]
+    assert batched == report_to_dict(check_validity_invariance(scalar(wgm(w)), cfg))
+
+
+def leaky_swap_in(s, i, j, amount):
+    out = s[j] - (s[i] * s[j]) / (s[i] + amount)
+    new = np.array(s, dtype=float)
+    new[i] = s[i] + 0.99 * amount
+    new[j] = s[j] - out
+    return new
+
+
+def leaky_swap_batch(s, i, j, amount):
+    rows = np.arange(len(s))
+    si = s[rows, i]
+    sj = s[rows, j]
+    out = sj - (si * sj) / (si + amount)
+    new = s.copy()
+    new[rows, i] = si + 0.99 * amount
+    new[rows, j] = sj - out
+    return new
+
+
+def test_leaky_rule_fails_at_the_same_trial_with_the_same_witness():
+    leaky = SwapRule(name="leaky", dimension=2, swap_in=leaky_swap_in,
+                     swap_batch=leaky_swap_batch)
+    cfg = TrialConfig(seed=7, trials=200)
+    batched = check_pareto(leaky, cfg)
+    assert not batched.passed
+    assert report_to_dict(batched) == report_to_dict(check_pareto(scalar(leaky), cfg))
+
+
+def csum_swap_batch(s, i, j, amount):
+    rows = np.arange(len(s))
+    out = s.copy()
+    out[rows, i] = s[rows, i] + amount
+    out[rows, j] = s[rows, j] - amount
+    return out
+
+
+def test_csum_with_batch_kernel_matches_reference():
+    csum = dataclasses.replace(constant_sum(), swap_batch=csum_swap_batch)
+    cfg = TrialConfig(seed=11, trials=300)
+    batched = [report_to_dict(r) for r in check_all(csum, cfg)]
+    assert batched == [report_to_dict(r) for r in check_all(constant_sum(), cfg)]
+    assert [r["passed"] for r in batched] == [False, False, False, True]
+
+
+def test_engine_raises_internal_error_when_predicate_disagrees(monkeypatch):
+    csum = dataclasses.replace(constant_sum(), swap_batch=csum_swap_batch)
+    monkeypatch.setitem(axioms._PREDICATES, "validity_invariance",
+                        lambda rule, inputs, tol: (False, None, None))
+    with pytest.raises(InternalError):
+        check_validity_invariance(csum, TrialConfig(seed=7, trials=100))
+
+
+def test_shrink_raises_internal_error_when_violation_is_lost(monkeypatch):
+    report = check_validity_invariance(constant_sum(), TrialConfig(seed=7, trials=100))
+    calls = []
+
+    def replays_once(rule, inputs, tol):
+        calls.append(inputs)
+        return len(calls) == 1, None, None
+
+    monkeypatch.setitem(axioms._PREDICATES, "validity_invariance", replays_once)
+    with pytest.raises(InternalError):
+        shrink(report, constant_sum())
+
+
+def test_shrunk_chain_moves_are_lists():
+    report = shrink(check_pareto(constant_sum(), TrialConfig(seed=7, trials=100)),
+                    constant_sum())
+    assert all(isinstance(move, list) for move in report.witness.inputs["moves"])
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+def test_trial_streams_match_trial_rng(seed):
+    streams = trial_streams(seed)
+    for trial in (0, 1, 5, 2**40 + 3):
+        want = trial_rng(seed, trial)
+        got = streams(trial)
+        assert got.integers(0, 3, dtype=np.uint32) == want.integers(0, 3, dtype=np.uint32)
+        assert got.uniform(-1.0, 1.0, 5).tolist() == want.uniform(-1.0, 1.0, 5).tolist()
+        assert got.integers(0, 2**40) == want.integers(0, 2**40)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_chain_pair_draw_matches_scalar_pair_draws(n):
+    cfg = TrialConfig(chain_length=33)
+    for trial in range(50):
+        vector = trial_rng(3, trial)
+        drawn = axioms._draw_chain(vector, trial, cfg, n)
+        rng = trial_rng(3, trial)
+        axioms._sample_state(rng, cfg, n, hug_boundary=False)
+        log_uniform(rng, *cfg.amount_range, cfg.chain_length)
+        pairs = [axioms._sample_pair(rng, n) for _ in range(cfg.chain_length)]
+        assert list(zip(drawn["token_in"].tolist(), drawn["token_out"].tolist())) == pairs
+        assert vector.integers(0, 2**40) == rng.integers(0, 2**40)
+
+
+def test_sorted_frontier_never_clears_a_dominated_chain():
+    # Four-state chains whose steps in x and y sit within a few dominance
+    # margins, shuffled along the chain, so rounding decides many cases.
+    rng = trial_rng(2031, 0)
+    x = np.cumprod(1.0 + rng.uniform(0.0, 6e-12, (4000, 4)), axis=1)
+    y = np.cumprod(1.0 - rng.uniform(-2e-12, 6e-12, (4000, 4)), axis=1)
+    order = rng.permutation(4)
+    x, y = x[:, order], y[:, order]
+    chains = np.stack([x, y], axis=2)
+    cleared = axioms._strict_frontier(x, y)
+    dominated = axioms._dominance(chains).any(axis=(1, 2))
+    assert not np.any(cleared & dominated)
+    assert np.any(cleared) and np.any(dominated)
