@@ -27,9 +27,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import AmmError, ConfigError, InternalError, UsageError, require_integer
-from .rand import PRNG_ID, log_uniform, trial_streams
-from .rules import SwapRule, swap, swap_rows
-from .state import rel_close
+from .rand import PRNG_ID, _sample_pair, log_uniform, trial_streams
+from .rules import SwapRule, _walk, _Walk, swap, swap_rows
+from .state import _positive, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
 # and domination needs at least one coordinate above it.
@@ -106,21 +106,8 @@ def _sample_state(rng: np.random.Generator, cfg: TrialConfig, n: int, hug_bounda
     return log_uniform(rng, lo, hi, n)
 
 
-def _sample_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
-    i = int(rng.integers(0, n))
-    # A draw over a one-value range consumes nothing, so two tokens skip it.
-    j = int(rng.integers(0, n - 1)) if n > 2 else 0
-    if j >= i:
-        j += 1
-    return i, j
-
-
 def _sample_amount(rng: np.random.Generator, cfg: TrialConfig, reserve: float) -> float:
     return float(log_uniform(rng, cfg.amount_range[0], cfg.amount_range[1]) * reserve)
-
-
-def _state_ok(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a)) and np.all(a > 0.0))
 
 
 # Violation predicates.  Each takes JSON-ready witness inputs, re-runs
@@ -133,7 +120,7 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
         out = swap(rule, inputs["state"], inputs["token_in"], inputs["token_out"], inputs["amount"])
     except AmmError as exc:
         return True, f"error: {exc}", expected
-    if not _state_ok(out):
+    if not _positive(out):
         return True, out.tolist(), expected
     return False, out.tolist(), expected
 
@@ -164,22 +151,24 @@ def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
 
 def _violates_pareto(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
     expected = "no coordinate-wise dominance between states on one chain"
-    start = np.asarray(inputs["start"], dtype=float)
-    states = [start]
-    current = start
-    for k, (i, j, amount) in enumerate(inputs["moves"]):
-        try:
-            nxt = swap(rule, current, int(i), int(j), float(amount))
-        except AmmError as exc:
-            return True, f"error at step {k + 1}: {exc}", expected
-        if not _state_ok(nxt):
-            return True, f"chain left the domain at step {k + 1}: {nxt.tolist()}", expected
-        states.append(nxt)
-        current = nxt
-    cloud = np.stack(states)
+    moves = ((int(i), int(j), float(amount)) for i, j, amount in inputs["moves"])
+    try:
+        walk = _walk(rule, inputs["start"], moves)
+    except AmmError as exc:
+        return True, f"error at step 1: {exc}", expected
+    return (*_pareto_verdict(walk), expected)
+
+
+def _pareto_verdict(walk: _Walk) -> tuple[bool, object]:
+    """Whether a walked chain violates Pareto efficiency, and what was observed."""
+    if isinstance(walk.failure, AmmError):
+        return True, f"error at step {len(walk.states)}: {walk.failure}"
+    if walk.failure is not None:
+        return True, f"chain left the domain at step {len(walk.states)}: {walk.failure.tolist()}"
+    cloud = np.stack(walk.states)
     hit = _dominating_pair(cloud)
     if hit is None:
-        return False, None, expected
+        return False, None
     a, b = hit
     observed = {
         "dominating_index": int(a),
@@ -187,7 +176,7 @@ def _violates_pareto(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, ob
         "dominating": cloud[a].tolist(),
         "dominated": cloud[b].tolist(),
     }
-    return True, observed, expected
+    return True, observed
 
 
 def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
@@ -270,30 +259,6 @@ def _draw_symmetry(rng: np.random.Generator, trial: int, cfg: TrialConfig, n: in
     s = _sample_state(rng, cfg, 2, hug_boundary=False)
     amount = _sample_amount(rng, cfg, s[0])
     return {"state": s.tolist(), "amount": amount}
-
-
-def _walk_drawn_chain(rule: SwapRule, drawn: dict) -> tuple[dict, bool]:
-    """Run a drawn chain through swap(), pinning each amount on the way.
-
-    Returns the witness inputs (moves up to and including a failing step)
-    and whether the chain violates Pareto efficiency.
-    """
-    current = np.asarray(drawn["start"], dtype=float)
-    states = [current]
-    moves = []
-    inputs = {"start": drawn["start"], "moves": moves}
-    for i, j, frac in zip(drawn["token_in"].tolist(), drawn["token_out"].tolist(),
-                          drawn["fractions"]):
-        amount = float(frac * current[i])
-        moves.append([i, j, amount])
-        try:
-            current = swap(rule, current, i, j, amount)
-        except AmmError:
-            return inputs, True
-        if not _state_ok(current):
-            return inputs, True
-        states.append(current)
-    return inputs, _dominating_pair(np.stack(states)) is not None
 
 
 # Batch verdicts.  For a rule with swap_batch, each judge evaluates a
@@ -406,9 +371,15 @@ _ENGINE = {
 
 
 def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> tuple[dict, bool]:
-    """Witness inputs of one drawn trial and whether it violates the axiom."""
+    """Witness inputs of one drawn trial and whether it violates the axiom.
+
+    A chain's witness moves run up to and including a failing step, with
+    amounts pinned to the states reached."""
     if axiom == "pareto_efficiency":
-        return _walk_drawn_chain(rule, drawn)
+        steps = zip(drawn["token_in"].tolist(), drawn["token_out"].tolist(), drawn["fractions"])
+        walk = _walk(rule, drawn["start"], steps, relative=True)
+        inputs = {"start": drawn["start"], "moves": [list(move) for move in walk.moves]}
+        return inputs, _pareto_verdict(walk)[0]
     return drawn, _PREDICATES[axiom](rule, drawn, cfg.tolerance)[0]
 
 

@@ -11,7 +11,7 @@ least squares, and turns fits back into weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import (
     require_integer,
 )
 from .rand import log_uniform, trial_rng
-from .rules import SwapRule, swap
+from .rules import SwapRule, _describe_exit, _walk
 from .state import require_valid
 
 # Log points closer than this are not distinct enough to anchor a fit.
@@ -40,6 +40,9 @@ RANK_EPS = 1e-10
 COMPONENT_EPS = 1e-9
 
 MIN_ORBIT_SAMPLES = 8
+
+# Rows of the cloud compared against all of it at once by the spread check.
+_SPREAD_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,6 @@ class SliceReport:
 
 def _orbit_directions(n: int) -> list[tuple[int, int]]:
     """Deterministic cycle of trade directions covering every ordered pair."""
-    if n == 2:
-        return [(0, 1), (1, 0)]
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
@@ -154,49 +155,47 @@ def sample_orbit(rule: SwapRule, s0, count: int = 64, seed: int = 0) -> OrbitSam
     """Record count forward swaps (count+1 states) wandering one orbit.
 
     Directions cycle so the walk does not drift off in one token, and
-    amounts are log-uniform fractions of the input reserve.  Hitting the
-    domain boundary raises SamplingError carrying the partial sample.
+    amounts are log-uniform fractions of the input reserve.  Leaving the
+    rule's domain raises SamplingError carrying the partial sample.
     """
     if count < MIN_ORBIT_SAMPLES:
         raise UsageError(f"count must be >= {MIN_ORBIT_SAMPLES}, got {count}")
-    start = require_valid(s0)
-    if start.size != rule.dimension:
-        raise UsageError(f"rule {rule.name!r} is {rule.dimension}-token, start has {start.size}")
-    rng = trial_rng(seed, 0)
-    directions = _orbit_directions(rule.dimension)
-    fractions = log_uniform(rng, 1e-3, 1.0, count)
-    states = [start]
-    current = start
-    for step in range(count):
-        i, j = directions[step % len(directions)]
-        amount = float(fractions[step] * current[i])
-        nxt = swap(rule, current, i, j, amount)
-        if not (np.all(np.isfinite(nxt)) and np.all(nxt > 0.0)):
-            partial = _finish_sample(rule, start, states, seed)
-            raise SamplingError(
-                f"orbit sampling hit the domain boundary of {rule.name!r} at step "
-                f"{step + 1}: swap({current.tolist()}, {i}, {j}, {amount!r}) = {nxt.tolist()}",
-                partial=partial,
-            )
-        states.append(nxt)
-        current = nxt
-    return _finish_sample(rule, start, states, seed)
+    return _sample(rule, s0, _orbit_directions(rule.dimension), count, seed,
+                   OrbitConfig.amount_range)
 
 
-def _finish_sample(rule: SwapRule, start: np.ndarray, states: list, seed: int) -> OrbitSample:
-    logs = np.log(np.stack(states))
+def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, seed: int,
+            amount_range: tuple[float, float]) -> OrbitSample:
+    """count swaps from s0 cycling through directions, each trading a
+    log-uniform fraction in amount_range of the input reserve, drawn
+    from trial_rng(seed, 0)."""
+    fractions = log_uniform(trial_rng(seed, 0), amount_range[0], amount_range[1], count)
+    steps = (directions[k % len(directions)] + (f,) for k, f in enumerate(fractions))
+    walk = _walk(rule, s0, steps, relative=True)
+    if isinstance(walk.failure, AmmError):
+        raise walk.failure
+    logs = np.log(np.stack(walk.states))
     logs.flags.writeable = False
-    return OrbitSample(rule=rule.name, start=start, states=tuple(states),
-                       log_points=logs, seed=seed)
+    sample = OrbitSample(rule=rule.name, start=walk.states[0], states=tuple(walk.states),
+                         log_points=logs, seed=seed)
+    if walk.failure is not None:
+        raise SamplingError(
+            f"orbit sampling hit the domain boundary of {rule.name!r} {_describe_exit(walk)}",
+            partial=sample,
+        )
+    return sample
 
 
 def _require_spread(cloud: np.ndarray) -> None:
-    diffs = cloud[:, None, :] - cloud[None, :, :]
-    diameter = float(np.max(np.linalg.norm(diffs, axis=2)))
-    if diameter <= DISTINCT_EPS:
-        raise DegenerateSampleError(
-            f"all {cloud.shape[0]} log points coincide within {DISTINCT_EPS}"
-        )
+    # Row blocks against the whole cloud: the same distances as one
+    # m x m tensor, in bounded memory, stopping at the first wide block.
+    for lo in range(0, cloud.shape[0], _SPREAD_BLOCK):
+        diffs = cloud[lo:lo + _SPREAD_BLOCK, None, :] - cloud[None, :, :]
+        if float(np.max(np.linalg.norm(diffs, axis=2))) > DISTINCT_EPS:
+            return
+    raise DegenerateSampleError(
+        f"all {cloud.shape[0]} log points coincide within {DISTINCT_EPS}"
+    )
 
 
 def fit_log_line(sample: OrbitSample) -> LineFit:
@@ -268,7 +267,8 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
     for k, start in enumerate(starts):
         orbit_seed = (cfg.seed ^ k) & 0xFFFFFFFFFFFFFFFF
         try:
-            sample = sample_orbit(rule, start, cfg.samples, seed=orbit_seed)
+            sample = _sample(rule, start, _orbit_directions(2), cfg.samples, orbit_seed,
+                             cfg.amount_range)
             fit = fit_log_line(sample)
         except AmmError as exc:
             return fail(f"orbit {k} (start {start.tolist()}): {exc}", partial)
@@ -374,26 +374,6 @@ def fit_log_hyperplane(sample: OrbitSample) -> HyperplaneFit:
                          residual=residual)
 
 
-def _sample_pair_chain(rule: SwapRule, p: np.ndarray, i: int, j: int,
-                       count: int, seed: int, amount_range) -> list[np.ndarray]:
-    rng = trial_rng(seed, 0)
-    fractions = log_uniform(rng, amount_range[0], amount_range[1], count)
-    states = [p]
-    current = p
-    for step in range(count):
-        a, b = (i, j) if step % 2 == 0 else (j, i)
-        amount = float(fractions[step] * current[a])
-        nxt = swap(rule, current, a, b, amount)
-        if not (np.all(np.isfinite(nxt)) and np.all(nxt > 0.0)):
-            raise SamplingError(
-                f"slice ({i}, {j}) of {rule.name!r} hit the domain boundary at step {step + 1}",
-                partial=states,
-            )
-        states.append(nxt)
-        current = nxt
-    return states
-
-
 def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
     """Probe every token pair of an n-token rule through two-token slices.
 
@@ -415,26 +395,16 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
     for i in range(n):
         for j in range(i + 1, n):
             slice_seed = (cfg.seed ^ (i * n + j)) & 0xFFFFFFFFFFFFFFFF
+            others_fixed = False
             try:
-                states = _sample_pair_chain(rule, point, i, j, cfg.samples,
-                                            slice_seed, cfg.amount_range)
-            except AmmError as exc:
-                verdict = False
-                failure = failure or f"pair ({i}, {j}): {exc}"
-                slices.append(SliceFit(token_a=i, token_b=j, slope=math.nan,
-                                       residual=math.nan, others_fixed=False, ok=False))
-                continue
-            cloud = np.stack(states)
-            others = [k for k in range(n) if k not in (i, j)]
-            others_fixed = all(
-                all(state[k] == point[k] for k in others) for state in states
-            )
-            logs = np.log(cloud[:, (i, j)])
-            pair_sample = OrbitSample(rule=rule.name, start=point,
-                                      states=tuple(states), log_points=logs,
-                                      seed=slice_seed)
-            try:
-                fit = fit_log_line(pair_sample)
+                sample = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
+                                 cfg.amount_range)
+                others = [k for k in range(n) if k not in (i, j)]
+                others_fixed = all(
+                    all(state[k] == point[k] for k in others) for state in sample.states
+                )
+                cloud = np.stack(sample.states)
+                fit = fit_log_line(replace(sample, log_points=np.log(cloud[:, (i, j)])))
             except AmmError as exc:
                 verdict = False
                 failure = failure or f"pair ({i}, {j}): {exc}"
@@ -491,8 +461,10 @@ def classification_to_dict(report: ClassificationReport) -> dict:
                 "slope": fit.slope,
                 "intercept": fit.intercept,
                 "residual": fit.residual,
-                "invariant_value": fit.invariant_value,
-                "invariant_spread": fit.invariant_spread,
+                # A partial orbit's invariant fields are NaN, which JSON cannot hold.
+                "invariant_value": None if math.isnan(fit.invariant_value) else fit.invariant_value,
+                "invariant_spread": (None if math.isnan(fit.invariant_spread)
+                                     else fit.invariant_spread),
             }
             for fit in report.orbits
         ],

@@ -20,8 +20,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .axioms import TrialConfig, check_all, report_to_dict, shrink
 from .classify import (
     OrbitConfig,
@@ -30,11 +28,10 @@ from .classify import (
     sample_orbit,
     verify_level_sets,
 )
-from .errors import AmmError, ConfigError, SamplingError, UsageError
-from .fees import drift_to_csv, fee_drift, fee_swap
-from .rand import log_uniform, trial_rng
+from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError
+from .fees import _fold, drift_to_csv
+from .rand import _sample_pair, log_uniform, trial_rng, trial_streams
 from .rules import parse_rule
-from .state import as_reserves
 
 SPEC_VERSION = "1.0"
 
@@ -100,19 +97,20 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_payload(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _parse_start(raw: str | None, dimension: int) -> np.ndarray:
-    if raw is None:
-        return as_reserves([1.0] * dimension)
     try:
-        coords = [float(part) for part in raw.split(",")]
+        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise InternalError(f"payload is not strict JSON: {exc}") from exc
+
+
+def _parse_start(raw: str | None, dimension: int) -> list[float]:
+    # The walks check the start like any other state.
+    if raw is None:
+        return [1.0] * dimension
+    try:
+        return [float(part) for part in raw.split(",")]
     except ValueError as exc:
         raise UsageError(f"bad start {raw!r}; expected comma-separated numbers") from exc
-    if len(coords) != dimension:
-        raise UsageError(f"start has {len(coords)} coordinates, rule needs {dimension}")
-    return as_reserves(coords)
 
 
 def _require_json(args) -> None:
@@ -181,25 +179,11 @@ def _cmd_classify(args) -> int:
 
 def _cmd_simulate_fees(args) -> int:
     rule = parse_rule(args.rule)
-    if rule.weights is None:
-        raise UsageError(f"rule {rule.name!r} declares no invariant to track")
     if args.trades < 0:
         raise UsageError(f"trades must be >= 0, got {args.trades}")
     start = _parse_start(args.start, rule.dimension)
-
-    trades = []
-    current = start
-    for t in range(args.trades):
-        rng = trial_rng(args.seed, t)
-        i = int(rng.integers(0, rule.dimension))
-        j = int(rng.integers(0, rule.dimension - 1))
-        if j >= i:
-            j += 1
-        amount = float(log_uniform(rng, 1e-3, 1.0) * current[i])
-        trades.append((i, j, amount))
-        current = fee_swap(rule, current, i, j, amount, args.phi)
-
-    series = fee_drift(rule, start, trades, args.phi)
+    series, trades = _fold(rule, start, _random_trades(args.seed, rule.dimension, args.trades),
+                           args.phi, relative=True)
     if args.format == "csv":
         _emit(drift_to_csv(series), args.output)
     else:
@@ -215,6 +199,15 @@ def _cmd_simulate_fees(args) -> int:
         }
         _emit(_json_payload(payload), args.output)
     return 0
+
+
+def _random_trades(seed: int, n: int, count: int):
+    """(i, j, fraction of reserve i) for each trade t, drawn from trial stream t."""
+    streams = trial_streams(seed)
+    for t in range(count):
+        rng = streams(t)
+        i, j = _sample_pair(rng, n)
+        yield i, j, log_uniform(rng, 1e-3, 1.0)
 
 
 def _cmd_orbit_export(args) -> int:

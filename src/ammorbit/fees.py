@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, UsageError
-from .rules import Move, SwapRule, out_amount, swap
-from .state import as_reserves, as_weights, rel_close, weighted_gmean
+from .errors import AmmError, ConfigError, UsageError
+from .rules import Move, SwapRule, _check_move, _check_state, _step, _walk, swap
+from .state import as_reserves, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
@@ -37,15 +37,9 @@ def fee_swap(rule: SwapRule, s, i: int, j: int, amount: float, fee: float) -> np
     settled from the effective input and the fee stays in reserve i.
     """
     fee = _check_fee(fee)
-    if fee == 0.0:
-        return swap(rule, s, i, j, amount)
-    a = as_reserves(s)
-    paid_out = out_amount(rule, a, i, j, (1.0 - fee) * amount)
-    result = a.copy()
-    result[i] = a[i] + amount
-    result[j] = a[j] - paid_out
-    result.flags.writeable = False
-    return result
+    a = _check_state(rule, s)
+    _check_move(a.size, i, j, amount)
+    return _step(rule, a, i, j, amount, fee)
 
 
 @dataclass(frozen=True)
@@ -129,18 +123,29 @@ def fee_drift(rule: SwapRule, s0, trades: Sequence[Move], fee: float) -> DriftSe
     The series includes the starting state, so it has len(trades) + 1
     entries.  The rule must declare a weight vector.
     """
+    trades = ((int(i), int(j), float(amount)) for i, j, amount in trades)
+    return _fold(rule, s0, trades, fee)[0]
+
+
+def _fold(rule: SwapRule, s0, trades: Iterable[tuple], fee: float,
+          relative: bool = False) -> tuple[DriftSeries, list[Move]]:
+    """fee_drift over trades (i, j, x) as rules._walk takes them, and the
+    trades with amounts pinned.  Leaving the domain raises as swap() would."""
     fee = _check_fee(fee)
     if rule.weights is None:
         raise UsageError(f"rule {rule.name!r} declares no invariant to track")
-    current = as_reserves(s0)
-    states = [current]
-    values = [weighted_gmean(current, rule.weights)]
-    for i, j, amount in trades:
-        current = fee_swap(rule, current, int(i), int(j), float(amount), fee)
-        states.append(current)
-        values.append(weighted_gmean(current, rule.weights))
-    return DriftSeries(rule=rule.name, fee=fee, states=tuple(states),
-                       invariant_values=tuple(values))
+    w = as_weights(rule.weights)
+    walk = _walk(rule, s0, trades, relative=relative, fee=fee)
+    if isinstance(walk.failure, AmmError):
+        raise walk.failure
+    if walk.failure is not None:
+        _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
+    # weighted_gmean's own float operations, one state at a time: a
+    # stacked log or matrix product may round differently.
+    values = tuple(math.exp(float(np.dot(w, np.log(a)))) for a in walk.states)
+    series = DriftSeries(rule=rule.name, fee=fee, states=tuple(walk.states),
+                         invariant_values=values)
+    return series, walk.moves
 
 
 def scaling_factor(weights, factors) -> float:

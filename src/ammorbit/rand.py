@@ -46,6 +46,16 @@ def trial_streams(seed: int) -> Callable[[int], np.random.Generator]:
     return streams
 
 
+def _sample_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    """A uniformly drawn ordered pair of distinct token indices below n."""
+    i = int(rng.integers(0, n))
+    # A draw over a one-value range consumes nothing, so two tokens skip it.
+    j = int(rng.integers(0, n - 1)) if n > 2 else 0
+    if j >= i:
+        j += 1
+    return i, j
+
+
 def log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     """Draw from [lo, hi] uniformly in log space.  Requires 0 < lo <= hi."""
     if not (0.0 < lo <= hi):

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (AmmError, ChainError, ConfigError, DomainError,
                      MalformedInputError, NumericError, UsageError)
-from .state import as_reserves, as_weights, is_valid, require_valid, weighted_gmean
+from .state import _positive, as_reserves, as_weights, is_valid, weighted_gmean
 
 Move = tuple[int, int, float]
 
@@ -190,72 +190,92 @@ def constant_sum() -> SwapRule:
 
 
 def make_rule(spec: RuleSpec) -> SwapRule:
-    """Build a SwapRule from a parsed spec."""
-    if spec.kind == "wgm":
-        if spec.weight is None:
-            raise ConfigError("wgm rule needs a weight")
-        return wgm(spec.weight)
-    if spec.kind == "product":
-        return product()
-    if spec.kind == "csum":
-        return constant_sum()
-    if spec.kind == "wprod":
-        if not spec.weights:
-            raise ConfigError("wprod rule needs a weight list")
-        try:
+    """Build a SwapRule from a parsed spec; construction errors become ConfigError."""
+    try:
+        if spec.kind == "wgm":
+            if spec.weight is None:
+                raise ConfigError("wgm rule needs a weight")
+            return wgm(spec.weight)
+        if spec.kind == "product":
+            return product()
+        if spec.kind == "csum":
+            return constant_sum()
+        if spec.kind == "wprod":
+            if not spec.weights:
+                raise ConfigError("wprod rule needs a weight list")
             return weighted_product(spec.weights)
-        except (DomainError, ConfigError) as exc:
-            raise ConfigError(str(exc)) from exc
+    except (DomainError, MalformedInputError) as exc:
+        raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown rule kind {spec.kind!r}")
 
 
 def parse_rule(text: str) -> SwapRule:
     """Parse 'wgm:<w>' | 'product' | 'csum' | 'wprod:<w1>,<w2>,...'."""
     text = text.strip()
-    if text == "product":
-        return make_rule(RuleSpec("product"))
-    if text == "csum":
-        return make_rule(RuleSpec("csum"))
-    if text.startswith("wgm:"):
+    if text in ("product", "csum"):
+        spec = RuleSpec(text)
+    elif text.startswith("wgm:"):
         body = text[len("wgm:"):]
         try:
-            weight = float(body)
+            spec = RuleSpec("wgm", weight=float(body))
         except ValueError as exc:
             raise ConfigError(f"bad wgm weight {body!r}") from exc
-        try:
-            return make_rule(RuleSpec("wgm", weight=weight))
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-    if text.startswith("wprod:"):
+    elif text.startswith("wprod:"):
         body = text[len("wprod:"):]
         try:
-            weights = tuple(float(part) for part in body.split(","))
+            spec = RuleSpec("wprod", weights=tuple(float(part) for part in body.split(",")))
         except ValueError as exc:
             raise ConfigError(f"bad wprod weight list {body!r}") from exc
-        try:
-            return make_rule(RuleSpec("wprod", weights=weights))
-        except (DomainError, MalformedInputError) as exc:
-            raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unrecognized rule spec {text!r}")
+    else:
+        raise ConfigError(f"unrecognized rule spec {text!r}")
+    return make_rule(spec)
 
 
-def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
-    """Trade amount units of token i into the pool, receiving token j.
+# swap() is three pieces: state checks, move checks and the trusted
+# step.  _walk runs the state checks once and the other two every move.
 
-    Returns the raw post-trade state.  The output is not required to be
-    valid; validity of outputs is the harness's business.
-    """
+def _in_domain(rule: SwapRule, a: np.ndarray) -> bool:
+    # The default domain is the positive orthant; test it without is_valid's copy.
+    return _positive(a) if rule.domain is is_valid else bool(rule.domain(a))
+
+
+def _check_state(rule: SwapRule, s) -> np.ndarray:
+    """Read-only float copy of s, which must be a state in rule's domain."""
     a = as_reserves(s)
     if a.size != rule.dimension:
         raise UsageError(f"rule {rule.name!r} is {rule.dimension}-token, state has {a.size}")
-    if i == j or not (0 <= i < a.size) or not (0 <= j < a.size):
-        raise UsageError(f"bad token pair ({i}, {j}) for dimension {a.size}")
-    if not (isinstance(amount, (int, float)) and math.isfinite(amount)):
+    if not _in_domain(rule, a):
+        raise DomainError(f"state {a.tolist()} is outside the domain of rule {rule.name!r}")
+    return a
+
+
+def _check_move(n: int, i, j, amount) -> None:
+    if not (_is_index(i) and _is_index(j) and i != j and 0 <= i < n and 0 <= j < n):
+        raise UsageError(f"bad token pair ({i}, {j}) for dimension {n}")
+    if (isinstance(amount, bool) or not isinstance(amount, (int, float, np.integer, np.floating))
+            or not math.isfinite(amount)):
         raise UsageError(f"amount must be a finite number, got {amount!r}")
     if amount < 0.0:
         raise UsageError(f"amount must be nonnegative, got {amount!r}")
-    if not rule.domain(a):
-        raise DomainError(f"state {a.tolist()} is outside the domain of rule {rule.name!r}")
+
+
+def _is_index(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _step(rule: SwapRule, a: np.ndarray, i: int, j: int, amount, fee: float = 0.0) -> np.ndarray:
+    """Raw post-trade state for a checked state and move.
+
+    A nonzero fee prices (1 - fee) * amount through the rule, banks the
+    full amount in reserve i, and pays out of j what the priced trade does.
+    """
+    if fee:
+        paid_out = float(a[j] - _step(rule, a, i, j, (1.0 - fee) * amount)[j])
+        out = a.copy()
+        out[i] += amount
+        out[j] -= paid_out
+        out.flags.writeable = False
+        return out
     if amount == 0.0:
         return a
     try:
@@ -267,13 +287,69 @@ def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
             f"rule {rule.name!r} raised {type(exc).__name__} at {a.tolist()}, "
             f"pair ({i}, {j}), amount {amount!r}: {exc}"
         ) from exc
-    if out.shape != a.shape or not np.all(np.isfinite(out)):
+    if out.shape != a.shape or not all(map(math.isfinite, out.tolist())):
         raise NumericError(
             f"rule {rule.name!r} produced a non-finite result at {a.tolist()}, "
             f"pair ({i}, {j}), amount {amount!r}"
         )
     out.flags.writeable = False
     return out
+
+
+def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
+    """Trade amount units of token i into the pool, receiving token j.
+
+    Token indices must be integers and amount a finite nonnegative real
+    (numpy scalars count; bools do not).  Returns the raw post-trade
+    state.  The output is not required to be valid; validity of outputs
+    is the harness's business.
+    """
+    a = _check_state(rule, s)
+    _check_move(a.size, i, j, amount)
+    return _step(rule, a, i, j, amount)
+
+
+class _Walk(NamedTuple):
+    """The start and each accepted state, the moves tried (amounts pinned),
+    and the failure: None, the AmmError that step len(states) raised, or
+    the out-of-domain state it produced."""
+
+    states: list[np.ndarray]
+    moves: list[Move]
+    failure: AmmError | np.ndarray | None
+
+
+def _walk(rule: SwapRule, s0, moves: Iterable[tuple], relative: bool = False,
+          fee: float = 0.0) -> _Walk:
+    """Apply moves (i, j, x) in turn from s0, up to the first failing step.
+
+    x is the amount or, when relative, the fraction of reserve i to trade
+    (the move must then name valid tokens), pinned as float(x * current[i]).
+    s0 raises as in swap().  A step fails when swap()'s move checks or the
+    step raise AmmError, or when its output leaves the rule's domain.
+    """
+    current = _check_state(rule, s0)
+    states = [current]
+    pinned: list[Move] = []
+    for i, j, x in moves:
+        amount = float(x * current[i]) if relative else x
+        pinned.append((i, j, amount))
+        try:
+            _check_move(current.size, i, j, amount)
+            current = _step(rule, current, i, j, amount, fee)
+        except AmmError as exc:
+            return _Walk(states, pinned, exc)
+        if not _in_domain(rule, current):
+            return _Walk(states, pinned, current)
+        states.append(current)
+    return _Walk(states, pinned, None)
+
+
+def _describe_exit(walk: _Walk) -> str:
+    """'at step k: swap(...) = ...' for a walk that left the domain."""
+    i, j, amount = walk.moves[-1]
+    return (f"at step {len(walk.states)}: swap({walk.states[-1].tolist()}, {i}, {j}, "
+            f"{amount!r}) = {walk.failure.tolist()}")
 
 
 def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
@@ -309,21 +385,12 @@ def chain(rule: SwapRule, s0, moves: Sequence[Move]) -> Trajectory:
     if any post-swap state leaves the rule's domain; the exception
     carries the trajectory accumulated before the bad step.
     """
-    current = as_reserves(s0)
-    if not rule.domain(current):
-        raise DomainError(f"start state {current.tolist()} is outside the domain of {rule.name!r}")
-    states = [current]
-    done: list[Move] = []
-    for k, (i, j, amount) in enumerate(moves):
-        nxt = swap(rule, current, i, j, amount)
-        if not rule.domain(nxt):
-            raise ChainError(
-                f"chain left the domain of {rule.name!r} at step {k + 1}: "
-                f"swap({current.tolist()}, {i}, {j}, {amount!r}) = {nxt.tolist()}",
-                step=k,
-                partial=Trajectory(states=tuple(states), moves=tuple(done)),
-            )
-        states.append(nxt)
-        done.append((int(i), int(j), float(amount)))
-        current = nxt
-    return Trajectory(states=tuple(states), moves=tuple(done))
+    walk = _walk(rule, s0, moves)
+    if isinstance(walk.failure, AmmError):
+        raise walk.failure
+    done = tuple((int(i), int(j), float(a)) for i, j, a in walk.moves[:len(walk.states) - 1])
+    trajectory = Trajectory(states=tuple(walk.states), moves=done)
+    if walk.failure is not None:
+        raise ChainError(f"chain left the domain of {rule.name!r} {_describe_exit(walk)}",
+                         step=len(walk.states) - 1, partial=trajectory)
+    return trajectory

@@ -44,15 +44,20 @@ def as_reserves(values: Sequence[float] | np.ndarray) -> np.ndarray:
     return _freeze(a.copy())
 
 
+def _positive(a: np.ndarray) -> bool:
+    """True iff every coordinate of a float vector is finite and > 0."""
+    # States have a few coordinates; a Python loop beats numpy's call overhead.
+    return all(0.0 < v < math.inf for v in a.tolist())
+
+
 def is_valid(s: Sequence[float] | np.ndarray) -> bool:
     """True iff every coordinate is finite and strictly positive."""
-    a = as_reserves(s)
-    return bool(np.all(a > 0.0))
+    return _positive(as_reserves(s))
 
 
 def require_valid(s) -> np.ndarray:
     a = as_reserves(s)
-    if not np.all(a > 0.0):
+    if not _positive(a):
         raise DomainError(f"state {a.tolist()} has a non-positive coordinate")
     return a
 

@@ -7,6 +7,7 @@ generating weights far below the verification tolerance.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ammorbit import (
     OrbitConfig,
     OrbitSample,
     SamplingError,
+    SwapRule,
     UsageError,
     VerticalFitError,
     as_reserves,
@@ -138,6 +140,18 @@ class TestLineFit:
         with pytest.raises(DegenerateSampleError):
             fit_log_line(sample)
 
+    def test_large_orbit_fit_stays_small(self):
+        # The spread check scans the cloud in row blocks rather than
+        # building the full m x m x 2 distance tensor (67 MB here).
+        sample = sample_orbit(wgm(0.8), as_reserves([1.0, 1.0]), count=2048, seed=7)
+        tracemalloc.start()
+        try:
+            fit_log_line(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_residual_measures_orthogonal_scatter(self):
         sample = synthetic_orbit("x", [[0.0, 0.01], [1.0, -1.0], [2.0, -2.0],
                                        [-1.0, 1.0]])
@@ -206,6 +220,44 @@ class TestVerifyLevelSets:
         report = verify_level_sets(wgm(0.5), starts, OrbitConfig(seed=0, samples=16))
         assert report.verdict
         assert any("same orbit" in w for w in report.warnings)
+
+    def test_honours_amount_range(self):
+        # A rule that crashes on trades above 0.6 of the input reserve
+        # samples cleanly only if the configured amounts stay below that.
+        base = wgm(0.5)
+
+        def timid(s, i, j, amount):
+            if amount > 0.6 * s[i]:
+                raise ValueError("trade too large")
+            return base.swap_in(s, i, j, amount)
+
+        rule = SwapRule(name="timid", dimension=2, swap_in=timid)
+        starts = [as_reserves([1.0, 1.0]), as_reserves([2.0, 3.0])]
+        report = verify_level_sets(rule, starts,
+                                   OrbitConfig(seed=1, samples=64, amount_range=(1e-3, 0.5)))
+        assert report.verdict
+        report = verify_level_sets(rule, starts, OrbitConfig(seed=1, samples=64))
+        assert not report.verdict
+        assert "trade too large" in report.failure
+
+    def test_partial_report_is_strict_json(self):
+        # Orbit 0 fits; orbit 1 crashes, so the report holds one partial
+        # orbit whose invariant fields were never computed.
+        base = wgm(0.5)
+
+        def fragile(s, i, j, amount):
+            if s[0] > 50.0:
+                raise ValueError("out of range")
+            return base.swap_in(s, i, j, amount)
+
+        rule = SwapRule(name="fragile", dimension=2, swap_in=fragile)
+        starts = [as_reserves([1.0, 1.0]), as_reserves([60.0, 1.0])]
+        d = classification_to_dict(verify_level_sets(rule, starts, OrbitConfig(samples=16)))
+        assert d["verdict"] is False and "orbit 1" in d["failure"]
+        assert len(d["orbits"]) == 1
+        assert d["orbits"][0]["invariant_value"] is None
+        assert d["orbits"][0]["invariant_spread"] is None
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
 
     def test_report_serializes(self):
         starts = [as_reserves([1.0, 1.0]), as_reserves([2.0, 3.0])]

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from ammorbit import cli
+from ammorbit import AmmError, cli
 
 
 def run(args, tmp_path, name="out"):
@@ -233,3 +233,10 @@ class TestProcessEntryPoint:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["command"] == "check-axioms"
+
+
+def test_payloads_are_strict_json():
+    # A non-finite float would be written as bare NaN or Infinity, which is
+    # not JSON; the serializer refuses it instead.
+    with pytest.raises(AmmError):
+        cli._json_payload({"value": float("nan")})

@@ -1,6 +1,6 @@
-"""Golden CLI outputs: the criterion 7 invocations and a 3-token check,
-compared byte for byte against files recorded before the batched trial
-engine landed.
+"""Golden CLI outputs: the criterion 7 invocations, a 3-token check, and
+orbit and fee walks (a partial orbit, 3-token orbits and fee drift, a
+zero fee), compared byte for byte against recorded files.
 
 Regenerate (only for an intended format change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -29,6 +29,16 @@ CASES = [
      ["orbit-export", "--rule", "wgm:0.5", "--samples", "32", "--seed", "7"], 0),
     ("check_wprod.json",
      ["check-axioms", "--rule", "wprod:0.2,0.3,0.5", "--trials", "500", "--seed", "7"], 0),
+    ("orbit_csum.json",
+     ["orbit-export", "--rule", "csum", "--samples", "64", "--format", "json",
+      "--seed", "7"], 1),
+    ("orbit_wprod.csv",
+     ["orbit-export", "--rule", "wprod:0.2,0.3,0.5", "--samples", "64", "--seed", "7"], 0),
+    ("fees_wprod.json",
+     ["simulate-fees", "--rule", "wprod:0.2,0.3,0.5", "--phi", "0.003", "--trades", "200",
+      "--format", "json", "--seed", "7"], 0),
+    ("fees_wgm0.3_phi0.csv",
+     ["simulate-fees", "--rule", "wgm:0.3", "--phi", "0", "--trades", "50", "--seed", "7"], 0),
 ]
 
 

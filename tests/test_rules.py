@@ -17,6 +17,7 @@ from ammorbit import (
     DomainError,
     NumericError,
     RuleSpec,
+    SamplingError,
     SwapRule,
     UsageError,
     as_reserves,
@@ -26,6 +27,7 @@ from ammorbit import (
     out_amount,
     parse_rule,
     product,
+    sample_orbit,
     scale,
     swap,
     weighted_gmean,
@@ -223,6 +225,20 @@ class TestSwapValidation:
         with pytest.raises(NumericError):
             swap(flat, self.s, 0, 1, 0.5)
 
+    def test_non_integer_token_index_rejected(self):
+        for i, j in ((0.0, 1), (True, 0), (0, False), ("0", 1)):
+            with pytest.raises(UsageError):
+                swap(self.rule, [1.0, 2.0], i, j, 0.5)
+
+    def test_non_real_amount_rejected(self):
+        for amount in (True, "0.5", 1j, None):
+            with pytest.raises(UsageError):
+                swap(self.rule, self.s, 0, 1, amount)
+
+    def test_numpy_scalars_accepted(self):
+        got = swap(self.rule, self.s, np.int64(0), np.int32(1), np.float32(0.5))
+        assert tuple(got) == tuple(swap(self.rule, self.s, 0, 1, 0.5))
+
 
 class TestChains:
     def test_round_trip_chain_exact(self):
@@ -249,6 +265,27 @@ class TestChains:
         traj = chain(wgm(0.5), as_reserves([2.0, 3.0]), [])
         assert len(traj.states) == 1
         assert len(traj.moves) == 0
+
+
+def test_custom_domain_ends_chain_and_orbit_walks():
+    # A black-box rule whose domain is narrower than the positive orthant:
+    # a walk ends at the first output the domain rejects, and keeps only
+    # the states before it.
+    capped = SwapRule(name="capped", dimension=2, swap_in=wgm(0.5).swap_in,
+                      domain=lambda s: bool(np.all(s > 0.0) and s[0] < 3.0))
+    with pytest.raises(ChainError) as err:
+        chain(capped, [1.0, 1.0], [(0, 1, 1.0), (0, 1, 2.0), (1, 0, 0.1)])
+    assert err.value.step == 1
+    assert tuple(err.value.partial.states[-1]) == (2.0, 0.5)
+    assert err.value.partial.moves == ((0, 1, 1.0),)
+
+    free = sample_orbit(wgm(0.5), [1.0, 1.0], count=64, seed=3)
+    exit_step = next(k for k, s in enumerate(free.states) if s[0] >= 3.0)
+    with pytest.raises(SamplingError) as err:
+        sample_orbit(capped, [1.0, 1.0], count=64, seed=3)
+    partial = err.value.partial
+    assert len(partial.states) == exit_step
+    assert all(np.array_equal(a, b) for a, b in zip(partial.states, free.states))
 
 
 class TestRuleConstruction:
@@ -302,3 +339,10 @@ class TestRuleParsing:
     def test_make_rule_rejects_unknown_kind(self):
         with pytest.raises(ConfigError):
             make_rule(RuleSpec(kind="mystery"))
+
+    def test_make_rule_maps_bad_weights_to_config_error(self):
+        for spec in (RuleSpec("wprod", weights=(math.nan, 1.0)),
+                     RuleSpec("wprod", weights=(0.5, 0.6)),
+                     RuleSpec("wgm", weight=math.inf)):
+            with pytest.raises(ConfigError):
+                make_rule(spec)
