@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AmmError, ConfigError, InternalError, UsageError, require_integer
+from .errors import (AmmError, ConfigError, InternalError, UsageError, require_integer,
+                     require_range, require_real)
 from .rand import PRNG_ID, _sample_pair, log_uniform, trial_streams
 from .rules import SwapRule, _walk, _Walk, swap, swap_rows
 from .state import _positive, rel_close
@@ -68,9 +69,8 @@ class TrialConfig:
         if self.chain_length < 1:
             raise ConfigError(f"chain_length must be >= 1, got {self.chain_length}")
         for name in ("amount_range", "state_range"):
-            lo, hi = getattr(self, name)
-            if not (0.0 < lo <= hi and math.isfinite(hi)):
-                raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got ({lo!r}, {hi!r})")
+            require_range(name, getattr(self, name))
+        require_real("tolerance", self.tolerance)
         if not (0.0 < self.tolerance < 1.0):
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 
@@ -126,18 +126,23 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
 
 
 def _dominance(chains: np.ndarray) -> np.ndarray:
-    """For chains (B, m, n): [b, p, q] is True iff state p dominates state q
-    under the 1e-12 margin."""
-    a = chains[:, :, None, :]
-    b = chains[:, None, :, :]
-    diff = a - b
-    slack = np.maximum(np.abs(a), np.abs(b))
-    slack *= PARETO_MARGIN
-    dominates = (diff > slack).any(axis=3)
-    dominates &= (diff >= np.negative(slack, out=slack)).all(axis=3)
-    diagonal = np.arange(chains.shape[1])
-    dominates[:, diagonal, diagonal] = False
-    return dominates
+    """For chains (B, m, n) of finite states: [b, p, q] is True iff state p
+    dominates state q under the 1e-12 margin.
+
+    p dominates q when p is above q on some coordinate and q is above p
+    on none, "above" meaning by more than the margin.  Built one
+    coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
+    symmetric in p and q, so on finite inputs "q is not above p" is
+    exactly the test "p - q >= -slack" on every coordinate.
+    """
+    size = chains.shape[1]
+    magnitude = np.abs(chains)
+    above = np.zeros((chains.shape[0], size, size), dtype=bool)
+    for k in range(chains.shape[2]):
+        slack = np.maximum(magnitude[:, :, None, k], magnitude[:, None, :, k])
+        slack *= PARETO_MARGIN
+        above |= chains[:, :, None, k] - chains[:, None, :, k] > slack
+    return above & ~above.transpose(0, 2, 1)
 
 
 def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
@@ -321,8 +326,8 @@ def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: list[dict]) -> np.nda
     return ~alive | _any_dominance(states, np.flatnonzero(alive))
 
 
-# Pairwise dominance tests hold chunk x (L+1)^2 x n floats at a time.
-_PAIRWISE_CHUNK = 4
+# Pairwise dominance tests hold chunk x (L+1)^2 floats per temporary.
+_PAIRWISE_CHUNK = 8
 
 
 def _any_dominance(chains: np.ndarray, pending: np.ndarray) -> np.ndarray:

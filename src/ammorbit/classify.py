@@ -25,6 +25,8 @@ from .errors import (
     UsageError,
     VerticalFitError,
     require_integer,
+    require_range,
+    require_real,
 )
 from .rand import log_uniform, trial_rng
 from .rules import SwapRule, _describe_exit, _walk
@@ -61,9 +63,8 @@ class OrbitConfig:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r}")
         if self.samples < MIN_ORBIT_SAMPLES:
             raise ConfigError(f"samples must be >= {MIN_ORBIT_SAMPLES}, got {self.samples}")
-        lo, hi = self.amount_range
-        if not (0.0 < lo <= hi and math.isfinite(hi)):
-            raise ConfigError(f"amount_range must satisfy 0 < lo <= hi, got ({lo!r}, {hi!r})")
+        require_range("amount_range", self.amount_range)
+        require_real("tolerance", self.tolerance)
         if not (0.0 < self.tolerance < 1.0):
             raise ConfigError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
 

@@ -2,11 +2,13 @@
 
 Every error raised on purpose derives from AmmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
-require_integer is the config objects' shared integer check.
+require_integer, require_real and require_range are the config objects'
+shared type checks.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 
@@ -34,6 +36,24 @@ def require_integer(name: str, value) -> None:
     """Raise ConfigError unless value is an integer (bool excluded)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_real(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number (bool excluded)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def require_range(name: str, value) -> None:
+    """Raise ConfigError unless value is a pair of reals (lo, hi), 0 < lo <= hi < inf."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a pair (lo, hi), got {value!r}") from None
+    require_real(name, lo)
+    require_real(name, hi)
+    if not (0.0 < lo <= hi < math.inf):
+        raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got ({lo!r}, {hi!r})")
 
 
 class NumericError(AmmError):

@@ -186,7 +186,15 @@ def constant_sum() -> SwapRule:
         out[j] = s[j] - amount
         return out
 
-    return SwapRule(name="csum", dimension=2, swap_in=swap_in, weights=None)
+    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
+        rows = np.arange(s.shape[0])
+        out = s.copy()
+        out[rows, i] = s[rows, i] + amount
+        out[rows, j] = s[rows, j] - amount
+        return out
+
+    return SwapRule(name="csum", dimension=2, swap_in=swap_in, weights=None,
+                    swap_batch=swap_batch)
 
 
 def make_rule(spec: RuleSpec) -> SwapRule:

@@ -76,6 +76,25 @@ class TestTrialConfig:
         with pytest.raises(ConfigError):
             TrialConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"amount_range": (1e-3,)},
+        {"amount_range": ("a", 1.0)},
+        {"amount_range": (True, 1.0)},
+        {"state_range": None},
+        {"state_range": (1.0, 2.0, 3.0)},
+        {"tolerance": "x"},
+        {"tolerance": None},
+    ], ids=repr)
+    def test_rejects_malformed_ranges_and_tolerance(self, kwargs):
+        with pytest.raises(ConfigError):
+            TrialConfig(**kwargs)
+
+    def test_accepts_numpy_reals(self):
+        cfg = TrialConfig(amount_range=(np.float64(1e-3), np.float32(0.5)),
+                          state_range=[np.int64(1), 100.0], tolerance=np.float64(1e-9),
+                          trials=50)
+        assert check_unit_invariance(wgm(0.3), cfg).passed
+
     def test_accepts_numpy_integers(self):
         cfg = TrialConfig(seed=np.uint64(7), trials=np.int64(50), chain_length=np.int32(8))
         ref = TrialConfig(seed=7, trials=50, chain_length=8)

@@ -64,6 +64,16 @@ class TestOrbitConfig:
         with pytest.raises(ConfigError):
             OrbitConfig(**{field: value})
 
+    @pytest.mark.parametrize("kwargs", [
+        {"amount_range": (1e-3,)},
+        {"amount_range": ("a", 1.0)},
+        {"amount_range": None},
+        {"tolerance": "x"},
+    ], ids=repr)
+    def test_rejects_malformed_range_and_tolerance(self, kwargs):
+        with pytest.raises(ConfigError):
+            OrbitConfig(**kwargs)
+
     def test_accepts_numpy_integers(self):
         starts = [as_reserves([1.0, 1.0]), as_reserves([0.5, 3.0])]
         got = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=np.uint64(4),

@@ -6,6 +6,7 @@ predicates.  Both must give identical reports, down to the witness.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -77,13 +78,19 @@ def extreme_inputs(rng: np.random.Generator, n: int, count: int):
     s[-1] = 1.0
     s[-1, 1] = np.finfo(float).max
     i[-1], j[-1], amount[-1] = 0, 1, 1e-300
+    # The largest trade into the largest reserve: the input reserve
+    # overflows to inf.
+    s[-2] = np.finfo(float).max
+    i[-2], j[-2], amount[-2] = 0, 1, np.finfo(float).max
     return s, i, j, amount
 
 
 @pytest.mark.parametrize("rule", [wgm(1e-6), wgm(0.08), wgm(0.3), wgm(1.0 - 1e-6),
                                   weighted_product([0.2, 0.3, 0.5]),
-                                  weighted_product([1e-6, 0.5, 0.5 - 1e-6])],
+                                  weighted_product([1e-6, 0.5, 0.5 - 1e-6]),
+                                  constant_sum()],
                          ids=lambda r: r.name)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_swap_batch_matches_swap_in_bit_for_bit(rule):
     s, i, j, amount = extreme_inputs(trial_rng(2030, rule.dimension), rule.dimension, 10_000)
     batch = rule.swap_batch(s, i, j, amount)
@@ -94,6 +101,11 @@ def test_swap_batch_matches_swap_in_bit_for_bit(rule):
             assert not np.all(np.isfinite(batch[row])), row
             continue
         assert batch[row].tobytes() == np.asarray(want).tobytes(), row
+    if rule.name == "csum":
+        # The cases the kernel must carry through: an overflowing input
+        # reserve and trades that overdraw the output reserve.
+        assert not np.all(np.isfinite(batch[-2]))
+        assert np.any(batch < 0.0)
 
 
 @pytest.mark.parametrize("w", [0.3, 0.9])
@@ -134,28 +146,31 @@ def test_leaky_rule_fails_at_the_same_trial_with_the_same_witness():
     assert report_to_dict(batched) == report_to_dict(check_pareto(scalar(leaky), cfg))
 
 
-def csum_swap_batch(s, i, j, amount):
-    rows = np.arange(len(s))
-    out = s.copy()
-    out[rows, i] = s[rows, i] + amount
-    out[rows, j] = s[rows, j] - amount
-    return out
+@pytest.mark.parametrize("seed", [0, 7, 123, 2**63 + 5])
+def test_leaky_three_token_rule_fails_pareto_with_the_same_witness(seed):
+    leaky = SwapRule(name="leaky3", dimension=3, swap_in=leaky_swap_in,
+                     swap_batch=leaky_swap_batch)
+    cfg = TrialConfig(seed=seed, trials=200)
+    batched = report_to_dict(check_pareto(leaky, cfg))
+    assert not batched["passed"]
+    assert "dominating_index" in batched["witness"]["observed"]
+    assert json.dumps(batched) == json.dumps(report_to_dict(check_pareto(scalar(leaky), cfg)))
 
 
 def test_csum_with_batch_kernel_matches_reference():
-    csum = dataclasses.replace(constant_sum(), swap_batch=csum_swap_batch)
+    csum = constant_sum()
+    assert csum.swap_batch is not None
     cfg = TrialConfig(seed=11, trials=300)
     batched = [report_to_dict(r) for r in check_all(csum, cfg)]
-    assert batched == [report_to_dict(r) for r in check_all(constant_sum(), cfg)]
+    assert batched == [report_to_dict(r) for r in check_all(scalar(csum), cfg)]
     assert [r["passed"] for r in batched] == [False, False, False, True]
 
 
 def test_engine_raises_internal_error_when_predicate_disagrees(monkeypatch):
-    csum = dataclasses.replace(constant_sum(), swap_batch=csum_swap_batch)
     monkeypatch.setitem(axioms._PREDICATES, "validity_invariance",
                         lambda rule, inputs, tol: (False, None, None))
     with pytest.raises(InternalError):
-        check_validity_invariance(csum, TrialConfig(seed=7, trials=100))
+        check_validity_invariance(constant_sum(), TrialConfig(seed=7, trials=100))
 
 
 def test_shrink_raises_internal_error_when_violation_is_lost(monkeypatch):
