@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import (AmmError, ConfigError, InternalError, UsageError, require_integer,
                      require_range, require_real)
-from .rand import PRNG_ID, _sample_pair, log_uniform, trial_streams
+from .rand import PRNG_ID, Draws, trial_draws
 from .rules import SwapRule, _walk, _Walk, swap, swap_rows
 from .state import _positive, rel_close
 
@@ -99,15 +99,13 @@ class AxiomReport:
     scope: str | None = None
 
 
-def _sample_state(rng: np.random.Generator, cfg: TrialConfig, n: int, hug_boundary: bool) -> np.ndarray:
+def _sample_state(draws: Draws, cfg: TrialConfig, n: int, hug_boundary) -> np.ndarray:
     lo, hi = cfg.state_range
-    if hug_boundary:
-        hi = min(hi, 4.0 * lo)
-    return log_uniform(rng, lo, hi, n)
+    return draws.log_uniform(lo, np.where(hug_boundary, min(hi, 4.0 * lo), hi), n)
 
 
-def _sample_amount(rng: np.random.Generator, cfg: TrialConfig, reserve: float) -> float:
-    return float(log_uniform(rng, cfg.amount_range[0], cfg.amount_range[1]) * reserve)
+def _sample_amount(draws: Draws, cfg: TrialConfig, reserve: np.ndarray) -> np.ndarray:
+    return draws.log_uniform(cfg.amount_range[0], cfg.amount_range[1], 1)[:, 0] * reserve
 
 
 # Violation predicates.  Each takes JSON-ready witness inputs, re-runs
@@ -220,54 +218,48 @@ _PREDICATES: dict[str, Callable[[SwapRule, dict, float], tuple[bool, object, obj
 
 # Trial draws.  Each trial draws from its own Philox stream, keyed
 # seed xor trial, in a fixed order that is part of the report format.
+# A draw function reads a block of trials at once and returns one
+# column per input, a row per trial; the keys are the witness input
+# names, in witness order.
 
-def _draw_validity(rng: np.random.Generator, trial: int, cfg: TrialConfig, n: int) -> dict:
+def _draw_validity(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
     # Every fourth trial hugs the lower edge of state_range.
-    s = _sample_state(rng, cfg, n, hug_boundary=(trial % 4 == 3))
-    i, j = _sample_pair(rng, n)
-    amount = _sample_amount(rng, cfg, s[i])
-    return {"state": s.tolist(), "token_in": i, "token_out": j, "amount": amount}
+    s = _sample_state(draws, cfg, n, hug_boundary=(trials % 4 == 3))
+    i, j = draws.pair(n)
+    amount = _sample_amount(draws, cfg, s[np.arange(len(s)), i])
+    return {"state": s, "token_in": i, "token_out": j, "amount": amount}
 
 
-def _draw_chain(rng: np.random.Generator, trial: int, cfg: TrialConfig, n: int) -> dict:
-    s = _sample_state(rng, cfg, n, hug_boundary=False)
+def _draw_chain(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
+    s = _sample_state(draws, cfg, n, hug_boundary=False)
     # Fractions are drawn up front; each concrete amount is pinned to the
     # state reached so far, so the witness replays without the RNG.
-    fractions = log_uniform(rng, cfg.amount_range[0], cfg.amount_range[1], cfg.chain_length)
-    # One vector draw consumes the stream exactly as chain_length
-    # _sample_pair calls do, and yields the same pairs.
-    if n == 2:
-        i = rng.integers(0, 2, cfg.chain_length)
-        j = 1 - i
-    else:
-        raw = rng.integers(0, [n, n - 1] * cfg.chain_length).reshape(-1, 2)
-        i = raw[:, 0]
-        j = raw[:, 1] + (raw[:, 1] >= i)
-    return {"start": s.tolist(), "token_in": i, "token_out": j, "fractions": fractions}
+    fractions = draws.log_uniform(cfg.amount_range[0], cfg.amount_range[1], cfg.chain_length)
+    raw = draws.integers([n, n - 1] * cfg.chain_length)
+    i, j = raw[:, 0::2], raw[:, 1::2]
+    return {"start": s, "token_in": i, "token_out": j + (j >= i), "fractions": fractions}
 
 
-def _draw_unit(rng: np.random.Generator, trial: int, cfg: TrialConfig, n: int) -> dict:
-    s = _sample_state(rng, cfg, n, hug_boundary=False)
-    i, j = _sample_pair(rng, n)
-    amount = _sample_amount(rng, cfg, s[i])
-    factors = log_uniform(rng, cfg.state_range[0], cfg.state_range[1], n)
-    return {
-        "state": s.tolist(),
-        "factors": factors.tolist(),
-        "token_in": i,
-        "token_out": j,
-        "amount": amount,
-    }
+def _draw_unit(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
+    s = _sample_state(draws, cfg, n, hug_boundary=False)
+    i, j = draws.pair(n)
+    amount = _sample_amount(draws, cfg, s[np.arange(len(s)), i])
+    factors = draws.log_uniform(cfg.state_range[0], cfg.state_range[1], n)
+    return {"state": s, "factors": factors, "token_in": i, "token_out": j, "amount": amount}
 
 
-def _draw_symmetry(rng: np.random.Generator, trial: int, cfg: TrialConfig, n: int) -> dict:
-    s = _sample_state(rng, cfg, 2, hug_boundary=False)
-    amount = _sample_amount(rng, cfg, s[0])
-    return {"state": s.tolist(), "amount": amount}
+def _draw_symmetry(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
+    s = _sample_state(draws, cfg, 2, hug_boundary=False)
+    return {"state": s, "amount": _sample_amount(draws, cfg, s[:, 0])}
+
+
+def _trial(drawn: dict, k: int) -> dict:
+    """Row k of drawn columns, JSON-ready."""
+    return {key: column[k].tolist() for key, column in drawn.items()}
 
 
 # Batch verdicts.  For a rule with swap_batch, each judge evaluates a
-# chunk of drawn trials at once with the predicates' own float
+# block of drawn trials at once with the predicates' own float
 # operations, through swap_rows, which behaves as swap() on each row, so
 # a trial's verdict is the predicate's verdict.  A judge returns the
 # per-trial violation mask.
@@ -277,45 +269,35 @@ def _rel_close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=1)
 
 
-def _column(drawn: list[dict], key: str) -> np.ndarray:
-    return np.array([d[key] for d in drawn])
-
-
-def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: list[dict]) -> np.ndarray:
-    out, ok = swap_rows(rule, _column(drawn, "state"), _column(drawn, "token_in"),
-                         _column(drawn, "token_out"), _column(drawn, "amount"))
+def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+    out, ok = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
+                        drawn["amount"])
     return ~(ok & np.all(out > 0.0, axis=1))
 
 
-def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: list[dict]) -> np.ndarray:
-    s = _column(drawn, "state")
-    f = _column(drawn, "factors")
-    i = _column(drawn, "token_in")
-    j = _column(drawn, "token_out")
-    amount = _column(drawn, "amount")
+def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+    s, f, i, j, amount = (drawn[key] for key in
+                          ("state", "factors", "token_in", "token_out", "amount"))
     rhs, ok = swap_rows(rule, s, i, j, amount)
-    lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(drawn)), i] * amount)
+    lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount)
     return ~(ok & ok_scaled & _rel_close_rows(lhs, rhs * f, cfg.tolerance))
 
 
-def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: list[dict]) -> np.ndarray:
-    s = _column(drawn, "state")
-    amount = _column(drawn, "amount")
-    first = np.zeros(len(drawn), dtype=int)
+def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+    s, amount = drawn["state"], drawn["amount"]
+    first = np.zeros(len(s), dtype=int)
     second = first + 1
     t, ok = swap_rows(rule, s, first, second, amount)
     mirrored, ok_mirrored = swap_rows(rule, s[:, ::-1], second, first, amount)
     return ~(ok & ok_mirrored & _rel_close_rows(mirrored, t[:, ::-1], cfg.tolerance))
 
 
-def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: list[dict]) -> np.ndarray:
-    i = _column(drawn, "token_in")
-    j = _column(drawn, "token_out")
-    fractions = _column(drawn, "fractions")
-    rows = np.arange(len(drawn))
-    states = np.empty((len(drawn), cfg.chain_length + 1, rule.dimension))
-    states[:, 0] = _column(drawn, "start")
-    alive = np.ones(len(drawn), dtype=bool)
+def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+    i, j, fractions = drawn["token_in"], drawn["token_out"], drawn["fractions"]
+    rows = np.arange(len(i))
+    states = np.empty((len(i), cfg.chain_length + 1, rule.dimension))
+    states[:, 0] = drawn["start"]
+    alive = np.ones(len(i), dtype=bool)
     for k in range(cfg.chain_length):
         current = states[:, k]
         amount = fractions[:, k] * current[rows, i[:, k]]
@@ -361,11 +343,10 @@ def _strict_frontier(x: np.ndarray, y: np.ndarray) -> np.ndarray:
             & np.all(y[:, :-1] - y[:, 1:] > gap * y[:, :-1], axis=1))
 
 
-# Chunks start small, so a rule that fails early costs what a
-# one-trial-at-a-time loop would, and double up to a cap that bounds
-# the memory a chunk holds.
-_FIRST_CHUNK = 8
-_MAX_CHUNK = 64
+# Blocks of trials start small, so a rule that fails early costs what a
+# one-trial-at-a-time loop would, and double up to a cap.
+_FIRST_BLOCK = 8
+_MAX_BLOCK = 512
 
 _ENGINE = {
     "validity_invariance": (_draw_validity, _judge_validity),
@@ -375,48 +356,53 @@ _ENGINE = {
 }
 
 
-def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> tuple[dict, bool]:
+def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -> tuple[dict, bool]:
     """Witness inputs of one drawn trial and whether it violates the axiom.
 
     A chain's witness moves run up to and including a failing step, with
     amounts pinned to the states reached."""
     if axiom == "pareto_efficiency":
-        steps = zip(drawn["token_in"].tolist(), drawn["token_out"].tolist(), drawn["fractions"])
-        walk = _walk(rule, drawn["start"], steps, relative=True)
-        inputs = {"start": drawn["start"], "moves": [list(move) for move in walk.moves]}
+        steps = zip(trial["token_in"], trial["token_out"], trial["fractions"])
+        walk = _walk(rule, trial["start"], steps, relative=True)
+        inputs = {"start": trial["start"], "moves": [list(move) for move in walk.moves]}
         return inputs, _pareto_verdict(walk)[0]
-    return drawn, _PREDICATES[axiom](rule, drawn, cfg.tolerance)[0]
+    return trial, _PREDICATES[axiom](rule, trial, cfg.tolerance)[0]
 
 
-def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: list[dict]) -> int | None:
-    """Lowest index in a chunk of drawn trials that violates the axiom, or None.
+def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> int | None:
+    """Lowest row of a block of drawn trials that violates the axiom, or None.
 
-    A rule with swap_batch is judged a chunk at a time; a black-box rule
-    runs one trial at a time through the scalar verdict.
+    A rule with swap_batch is judged a whole block at once; a black-box
+    rule runs one trial at a time through the scalar verdict.
     """
-    if rule.swap_batch is not None:
-        hits = np.flatnonzero(_ENGINE[axiom][1](rule, cfg, drawn))
-        return int(hits[0]) if hits.size else None
-    return next((k for k, d in enumerate(drawn) if _scalar_verdict(rule, cfg, axiom, d)[1]), None)
+    if rule.swap_batch is None:
+        rows = len(next(iter(drawn.values())))
+        return next((k for k in range(rows)
+                     if _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))[1]), None)
+    hits = np.flatnonzero(_ENGINE[axiom][1](rule, cfg, drawn))
+    return int(hits[0]) if hits.size else None
 
 
 def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                 scope: str | None = None) -> AxiomReport:
-    """Run an axiom's trials in index order, in chunks, up to the first violation.
+    """Run an axiom's trials in index order, in blocks, up to the first violation.
 
     The failing trial's witness is rebuilt through the scalar path and
     confirmed by the predicate that shrink() replays.
     """
-    draw = _ENGINE[axiom][0]
-    streams = trial_streams(cfg.seed)
-    first, size = 0, _FIRST_CHUNK
+    n = rule.dimension
+    # Each block computes up front the Philox words per trial that the
+    # block before it read, so its draws take one kernel pass.
+    first, size, words = 0, _FIRST_BLOCK, 0
     while first < cfg.trials:
-        stop = min(first + size, cfg.trials)
-        drawn = [draw(streams(t), t, cfg, rule.dimension) for t in range(first, stop)]
+        trials = np.arange(first, min(first + size, cfg.trials))
+        draws = trial_draws(cfg.seed, trials, words)
+        drawn = _ENGINE[axiom][0](draws, trials, cfg, n)
+        words = draws.words_read
         hit = _first_suspect(rule, cfg, axiom, drawn)
         if hit is not None:
             trial = first + hit
-            inputs = _scalar_verdict(rule, cfg, axiom, drawn[hit])[0]
+            inputs = _scalar_verdict(rule, cfg, axiom, _trial(drawn, hit))[0]
             violated, observed, expected = _PREDICATES[axiom](rule, inputs, cfg.tolerance)
             if not violated:
                 raise InternalError(f"{axiom} trial {trial} of rule {rule.name!r} was flagged "
@@ -425,7 +411,7 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                               seed=cfg.seed, trial=trial)
             return AxiomReport(axiom=axiom, rule=rule.name, trials=trial + 1, passed=False,
                                witness=witness, tolerance=cfg.tolerance, scope=scope)
-        first, size = stop, min(2 * size, _MAX_CHUNK)
+        first, size = first + trials.size, min(2 * size, _MAX_BLOCK)
     return AxiomReport(axiom=axiom, rule=rule.name, trials=cfg.trials, passed=True,
                        witness=None, tolerance=cfg.tolerance, scope=scope)
 

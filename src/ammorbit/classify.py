@@ -28,7 +28,7 @@ from .errors import (
     require_range,
     require_real,
 )
-from .rand import log_uniform, trial_rng
+from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
 from .state import require_valid
 
@@ -170,7 +170,7 @@ def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, s
     """count swaps from s0 cycling through directions, each trading a
     log-uniform fraction in amount_range of the input reserve, drawn
     from trial_rng(seed, 0)."""
-    fractions = log_uniform(trial_rng(seed, 0), amount_range[0], amount_range[1], count)
+    fractions = trial_draws(seed, [0]).log_uniform(*amount_range, count)[0]
     steps = (directions[k % len(directions)] + (f,) for k, f in enumerate(fractions))
     walk = _walk(rule, s0, steps, relative=True)
     if isinstance(walk.failure, AmmError):
@@ -441,7 +441,8 @@ def orbit_to_csv(sample: OrbitSample) -> str:
         row = [format(float(v), ".17g") for v in state] + \
               [format(float(v), ".17g") for v in logs]
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

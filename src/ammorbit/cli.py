@@ -30,7 +30,7 @@ from .classify import (
 )
 from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError
 from .fees import _fold, drift_to_csv
-from .rand import _sample_pair, log_uniform, trial_rng, trial_streams
+from .rand import trial_draws
 from .rules import parse_rule
 
 SPEC_VERSION = "1.0"
@@ -159,9 +159,9 @@ def _cmd_classify(args) -> int:
                          "hyperplane fit for more tokens")
     if args.orbits < 2:
         raise UsageError(f"need at least 2 orbits, got {args.orbits}")
-    rng = trial_rng(args.seed, _START_STREAM)
-    starts = [log_uniform(rng, _START_RANGE[0], _START_RANGE[1], 2)
-              for _ in range(args.orbits)]
+    # One stream, read as consecutive two-coordinate draws.
+    draws = trial_draws(args.seed, [_START_STREAM])
+    starts = list(draws.log_uniform(*_START_RANGE, 2 * args.orbits).reshape(args.orbits, 2))
     cfg = OrbitConfig(seed=args.seed, samples=args.samples, tolerance=args.tolerance)
     report = verify_level_sets(rule, starts, cfg)
     payload = {
@@ -201,13 +201,17 @@ def _cmd_simulate_fees(args) -> int:
     return 0
 
 
+# Trades drawn at a time: bounds the draws' memory whatever --trades is.
+_TRADE_BLOCK = 4096
+
+
 def _random_trades(seed: int, n: int, count: int):
     """(i, j, fraction of reserve i) for each trade t, drawn from trial stream t."""
-    streams = trial_streams(seed)
-    for t in range(count):
-        rng = streams(t)
-        i, j = _sample_pair(rng, n)
-        yield i, j, log_uniform(rng, 1e-3, 1.0)
+    for first in range(0, count, _TRADE_BLOCK):
+        draws = trial_draws(seed, range(first, min(first + _TRADE_BLOCK, count)))
+        i, j = draws.pair(n)
+        fractions = draws.log_uniform(1e-3, 1.0, 1)[:, 0]
+        yield from zip(i.tolist(), j.tolist(), fractions.tolist())
 
 
 def _cmd_orbit_export(args) -> int:

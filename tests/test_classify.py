@@ -391,3 +391,16 @@ class TestCsvExport:
         sample = sample_orbit(rule, as_reserves([1.0, 1.0, 1.0]), count=8, seed=0)
         text = orbit_to_csv(sample)
         assert text.split("\n")[0] == "x1,x2,x3,u1,u2,u3"
+
+    def test_large_export_copies_its_text_once(self):
+        # The row strings plus one joined text: appending the final
+        # newline after the join would copy all 2.4 MB a second time.
+        sample = sample_orbit(wgm(0.5), as_reserves([1.0, 1.0]), count=30_000, seed=0)
+        tracemalloc.start()
+        try:
+            text = orbit_to_csv(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert text.endswith("\n") and not text.endswith("\n\n")
+        assert peak < 3.2 * len(text)

@@ -1,6 +1,6 @@
 """The batched trial engine against its scalar reference.
 
-A rule with swap_batch is checked a chunk of trials at a time; the same
+A rule with swap_batch is checked a block of trials at a time; the same
 rule with swap_batch=None runs one trial at a time through the
 predicates.  Both must give identical reports, down to the witness.
 """
@@ -26,7 +26,7 @@ from ammorbit import (
     wgm,
 )
 from ammorbit import axioms
-from ammorbit.rand import log_uniform, trial_rng, trial_streams
+from ammorbit.rand import log_uniform, trial_draws, trial_rng
 
 RULES = [f"wgm:{w}" for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)] + [
     "wgm:1e-6", "product", "wprod:0.2,0.3,0.5"]
@@ -192,29 +192,45 @@ def test_shrunk_chain_moves_are_lists():
     assert all(isinstance(move, list) for move in report.witness.inputs["moves"])
 
 
+def scalar_pair(rng: np.random.Generator, n: int) -> tuple[int, int]:
+    # The one-at-a-time pair draw the engine's reader must reproduce.
+    i = int(rng.integers(0, n))
+    j = int(rng.integers(0, n - 1)) if n > 2 else 0
+    return i, j + (j >= i)
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
 def test_trial_streams_match_trial_rng(seed):
-    streams = trial_streams(seed)
-    for trial in (0, 1, 5, 2**40 + 3):
+    trials = [0, 1, 5, 2**40 + 3]
+    draws = trial_draws(seed, trials)
+    ints = draws.integers([3])
+    doubles = draws.log_uniform(1e-3, 1e3, 5)
+    pairs = draws.integers([5, 4, 7])
+    for k, trial in enumerate(trials):
         want = trial_rng(seed, trial)
-        got = streams(trial)
-        assert got.integers(0, 3, dtype=np.uint32) == want.integers(0, 3, dtype=np.uint32)
-        assert got.uniform(-1.0, 1.0, 5).tolist() == want.uniform(-1.0, 1.0, 5).tolist()
-        assert got.integers(0, 2**40) == want.integers(0, 2**40)
+        assert ints[k].tolist() == [want.integers(0, 3)]
+        assert doubles[k].tolist() == log_uniform(want, 1e-3, 1e3, 5).tolist()
+        assert pairs[k].tolist() == want.integers(0, [5, 4, 7]).tolist()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_chain_pair_draw_matches_scalar_pair_draws(n):
     cfg = TrialConfig(chain_length=33)
-    for trial in range(50):
-        vector = trial_rng(3, trial)
-        drawn = axioms._draw_chain(vector, trial, cfg, n)
+    trials = np.arange(50)
+    draws = trial_draws(3, trials)
+    drawn = axioms._draw_chain(draws, trials, cfg, n)
+    after = draws.integers([7]), draws.log_uniform(1e-3, 1.0, 1)
+    for trial in trials.tolist():
         rng = trial_rng(3, trial)
-        axioms._sample_state(rng, cfg, n, hug_boundary=False)
-        log_uniform(rng, *cfg.amount_range, cfg.chain_length)
-        pairs = [axioms._sample_pair(rng, n) for _ in range(cfg.chain_length)]
-        assert list(zip(drawn["token_in"].tolist(), drawn["token_out"].tolist())) == pairs
-        assert vector.integers(0, 2**40) == rng.integers(0, 2**40)
+        assert drawn["start"][trial].tolist() == log_uniform(rng, *cfg.state_range, n).tolist()
+        fractions = log_uniform(rng, *cfg.amount_range, cfg.chain_length)
+        assert drawn["fractions"][trial].tolist() == fractions.tolist()
+        pairs = [scalar_pair(rng, n) for _ in range(cfg.chain_length)]
+        assert list(zip(drawn["token_in"][trial].tolist(),
+                        drawn["token_out"][trial].tolist())) == pairs
+        # Both streams stop at the same word and the same cached half.
+        assert after[0][trial, 0] == rng.integers(0, 7)
+        assert after[1][trial, 0] == log_uniform(rng, 1e-3, 1.0)
 
 
 def test_sorted_frontier_never_clears_a_dominated_chain():
