@@ -41,9 +41,6 @@ VALIDITY_SCOPE = (
     "behaviour on invalid start states is not observable through the swap interface"
 )
 
-AXIOMS = ("validity_invariance", "pareto_efficiency", "unit_invariance", "token_symmetry")
-
-
 @dataclass(frozen=True)
 class TrialConfig:
     """Knobs for one conformance run.
@@ -623,12 +620,6 @@ def report_to_dict(report: AxiomReport) -> dict:
 
 
 def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
-from .state import require_valid
+from .state import _csv, require_valid
 
 # Log points closer than this are not distinct enough to anchor a fit.
 DISTINCT_EPS = 1e-10
@@ -436,13 +436,7 @@ def orbit_to_csv(sample: OrbitSample) -> str:
     """CSV with one row per state: x1..xn, then their logs u1..un."""
     n = int(sample.log_points.shape[1])
     header = ",".join([f"x{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)])
-    lines = [header]
-    for state, logs in zip(sample.states, sample.log_points):
-        row = [format(float(v), ".17g") for v in state] + \
-              [format(float(v), ".17g") for v in logs]
-        lines.append(",".join(row))
-    lines.append("")
-    return "\n".join(lines)
+    return _csv(header, np.hstack([np.stack(sample.states), sample.log_points]))
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import AmmError, ConfigError, UsageError
 from .rules import Move, SwapRule, _check_move, _check_state, _step, _walk, swap
-from .state import as_reserves, as_weights, rel_close
+from .state import _csv, as_reserves, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
@@ -166,9 +166,5 @@ def drift_to_csv(series: DriftSeries) -> str:
         header = "step,x,y,phi"
     else:
         header = "step," + ",".join(f"x{k + 1}" for k in range(n)) + ",phi"
-    lines = [header]
-    for step, (state, value) in enumerate(zip(series.states, series.invariant_values)):
-        cells = [str(step)] + [format(float(v), ".17g") for v in state]
-        cells.append(format(float(value), ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    steps = np.arange(len(series.states), dtype=float)
+    return _csv(header, np.column_stack([steps, np.stack(series.states), series.invariant_values]))

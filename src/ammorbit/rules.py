@@ -16,7 +16,7 @@ and rules are treated as black boxes, so no inverse query is offered.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -86,27 +86,31 @@ def _format_weight(w: float) -> str:
     return repr(float(w))
 
 
-def _pair_swap(weights: np.ndarray, s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
-    si = s[i]
-    sj = s[j]
-    wi = weights[i]
-    wj = weights[j]
+def _weighted_pair(si, sj, wi, wj, amount, log, exp):
     new_i = si + amount
-    target = wi * math.log(si) + wj * math.log(sj)
-    new_j = math.exp((target - wi * math.log(new_i)) / wj)
-    out = s.copy()
-    out[i] = new_i
-    out[j] = new_j
-    return out
+    return new_i, exp((wi * log(si) + wj * log(sj) - wi * log(new_i)) / wj)
+
+
+def _sum_pair(si, sj, wi, wj, amount, log, exp):
+    return si + amount, sj - amount
 
 
 def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """fn (a math-module function) applied elementwise.
-
-    np.log and np.exp may differ from libm in the last bit, so batch
-    kernels that must match their scalar twin bit for bit go through this.
-    """
+    """fn (a math-module function) applied elementwise: np.log and np.exp
+    may differ from libm in the last bit."""
     return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
+
+
+def _row_log(x: np.ndarray) -> np.ndarray:
+    return _libm(math.log, x)
+
+
+def _row_exp(x: np.ndarray) -> np.ndarray:
+    try:
+        return _libm(math.exp, x)
+    except OverflowError:
+        # Where math.exp raises, the row gets inf, a non-finite coordinate.
+        return _libm(_exp_or_inf, x)
 
 
 def _exp_or_inf(x: float) -> float:
@@ -116,44 +120,38 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
-def _pair_swap_batch(weights: np.ndarray, s: np.ndarray, i: np.ndarray, j: np.ndarray,
-                     amount: np.ndarray) -> np.ndarray:
-    """_pair_swap on every row: the same float operations in the same order."""
-    rows = np.arange(s.shape[0])
-    si = s[rows, i]
-    sj = s[rows, j]
-    wi = weights[i]
-    wj = weights[j]
-    new_i = si + amount
-    target = wi * _libm(math.log, si) + wj * _libm(math.log, sj)
-    z = (target - wi * _libm(math.log, new_i)) / wj
-    try:
-        new_j = _libm(math.exp, z)
-    except OverflowError:
-        # Where _pair_swap raises, the row gets a non-finite coordinate.
-        new_j = _libm(_exp_or_inf, z)
-    out = s.copy()
-    out[rows, i] = new_i
-    out[rows, j] = new_j
-    return out
+def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
+               weights: np.ndarray | None) -> SwapRule:
+    """A rule whose trade is kernel(s_i, s_j, w_i, w_j, amount, log, exp) ->
+    (new_i, new_j), written once: swap_in runs it on floats with math.log
+    and math.exp, swap_batch on gathered rows with libm per element, so the
+    two agree bit for bit."""
+
+    def swap_in(s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
+        out = s.copy()
+        out[i], out[j] = kernel(s[i], s[j], w[i], w[j], amount, math.log, math.exp)
+        return out
+
+    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
+        rows = np.arange(s.shape[0])
+        new_i, new_j = kernel(s[rows, i], s[rows, j], w[i], w[j], amount, _row_log, _row_exp)
+        out = s.copy()
+        out[rows, i] = new_i
+        out[rows, j] = new_j
+        return out
+
+    return SwapRule(name=name, dimension=int(w.size), swap_in=swap_in, weights=weights,
+                    swap_batch=swap_batch)
 
 
 def weighted_product(weights: Sequence[float]) -> SwapRule:
     """Rule holding prod s_i**w_i fixed; a pair trade touches only (i, j)."""
     w = as_weights(weights)
-
-    def swap_in(s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
-        return _pair_swap(w, s, i, j, amount)
-
-    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
-        return _pair_swap_batch(w, s, i, j, amount)
-
     if w.size == 2:
         name = f"wgm:{_format_weight(w[0])}"
     else:
         name = "wprod:" + ",".join(_format_weight(v) for v in w)
-    return SwapRule(name=name, dimension=int(w.size), swap_in=swap_in, weights=w,
-                    swap_batch=swap_batch)
+    return _pair_rule(name, _weighted_pair, w, weights=w)
 
 
 def wgm(weight: float) -> SwapRule:
@@ -167,34 +165,12 @@ def wgm(weight: float) -> SwapRule:
 
 def product() -> SwapRule:
     """Constant-product rule xy = k, the equal-weight special case."""
-    rule = wgm(0.5)
-    return SwapRule(
-        name="product",
-        dimension=2,
-        swap_in=rule.swap_in,
-        weights=rule.weights,
-        swap_batch=rule.swap_batch,
-    )
+    return replace(wgm(0.5), name="product")
 
 
 def constant_sum() -> SwapRule:
     """Rule holding x + y fixed.  Violates validity and unit invariance."""
-
-    def swap_in(s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
-        out = s.copy()
-        out[i] = s[i] + amount
-        out[j] = s[j] - amount
-        return out
-
-    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
-        rows = np.arange(s.shape[0])
-        out = s.copy()
-        out[rows, i] = s[rows, i] + amount
-        out[rows, j] = s[rows, j] - amount
-        return out
-
-    return SwapRule(name="csum", dimension=2, swap_in=swap_in, weights=None,
-                    swap_batch=swap_batch)
+    return _pair_rule("csum", _sum_pair, np.ones(2), weights=None)
 
 
 def make_rule(spec: RuleSpec) -> SwapRule:

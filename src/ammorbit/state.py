@@ -146,3 +146,15 @@ def rel_dist(a, b) -> float:
     scale_ref = np.maximum(np.abs(aa), np.abs(bb))
     scale_ref = np.where(scale_ref == 0.0, 1.0, scale_ref)
     return float(np.max(np.abs(aa - bb) / scale_ref))
+
+
+def _csv(header: str, table: np.ndarray) -> str:
+    """header, then one line of '%.17g' cells per row of a float table."""
+    # A thousand rows per %-format: one call per cell is slower, and one
+    # for the whole table holds more memory.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    parts = [header + "\n"]
+    for start in range(0, len(table), 1024):
+        block = table[start:start + 1024]
+        parts.append(row * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)

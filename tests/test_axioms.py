@@ -1,6 +1,8 @@
 """Randomized axiom checks: soundness on conforming rules, detection on
 broken ones, witness replay, shrinking, and report determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from ammorbit import (
     weighted_product,
     wgm,
 )
+from ammorbit import axioms
 from ammorbit.rand import PRNG_ID
 
 
@@ -289,6 +292,28 @@ class TestReports:
         a = report_to_dict(check_unit_invariance(constant_sum(), cfg))
         b = report_to_dict(check_unit_invariance(constant_sum(), cfg))
         assert a == b
+
+    def test_witnesses_hold_only_python_values(self, monkeypatch):
+        # report_to_dict passes witness values through unconverted, so
+        # every witness must be built from Python values alone.
+        def strict(value):
+            if isinstance(value, dict):
+                return {k: strict(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [strict(v) for v in value]
+            assert isinstance(value, (str, int, float, type(None))), value
+            assert not isinstance(value, (np.generic, np.ndarray)), value
+            return value
+
+        monkeypatch.setattr(axioms, "_jsonable", strict)
+        cfg = TrialConfig(seed=7, trials=200)
+        failed = [r for r in check_all(constant_sum(), cfg) if not r.passed]
+        failed.append(check_token_symmetry(wgm(0.3), cfg))
+        assert {r.axiom for r in failed} == {"validity_invariance", "pareto_efficiency",
+                                             "unit_invariance", "token_symmetry"}
+        failed += [shrink(r, constant_sum()) for r in failed if r.rule == "csum"]
+        for report in failed:
+            json.dumps(report_to_dict(report), allow_nan=False)
 
     def test_trials_field_counts_executed_trials(self):
         # short-circuit on first failure: executed count, not requested count

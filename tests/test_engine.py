@@ -20,6 +20,7 @@ from ammorbit import (
     check_validity_invariance,
     constant_sum,
     parse_rule,
+    product,
     report_to_dict,
     shrink,
     weighted_product,
@@ -88,7 +89,8 @@ def extreme_inputs(rng: np.random.Generator, n: int, count: int):
 @pytest.mark.parametrize("rule", [wgm(1e-6), wgm(0.08), wgm(0.3), wgm(1.0 - 1e-6),
                                   weighted_product([0.2, 0.3, 0.5]),
                                   weighted_product([1e-6, 0.5, 0.5 - 1e-6]),
-                                  constant_sum()],
+                                  weighted_product([0.1, 0.2, 0.3, 0.4]),
+                                  product(), constant_sum()],
                          ids=lambda r: r.name)
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_swap_batch_matches_swap_in_bit_for_bit(rule):
