@@ -165,7 +165,7 @@ def _pareto_verdict(walk: _Walk) -> tuple[bool, object]:
         return True, f"error at step {len(walk.states)}: {walk.failure}"
     if walk.failure is not None:
         return True, f"chain left the domain at step {len(walk.states)}: {walk.failure.tolist()}"
-    cloud = np.stack(walk.states)
+    cloud = walk.states
     hit = _dominating_pair(cloud)
     if hit is None:
         return False, None
@@ -359,7 +359,7 @@ def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -
     A chain's witness moves run up to and including a failing step, with
     amounts pinned to the states reached."""
     if axiom == "pareto_efficiency":
-        steps = zip(trial["token_in"], trial["token_out"], trial["fractions"])
+        steps = (trial["token_in"], trial["token_out"], trial["fractions"])
         walk = _walk(rule, trial["start"], steps, relative=True)
         inputs = {"start": trial["start"], "moves": [list(move) for move in walk.moves]}
         return inputs, _pareto_verdict(walk)[0]

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
-from .state import _csv, require_valid
+from .state import _csv, _freeze, require_valid
 
 # Log points closer than this are not distinct enough to anchor a fit.
 DISTINCT_EPS = 1e-10
@@ -162,29 +162,27 @@ def sample_orbit(rule: SwapRule, s0, count: int = 64, seed: int = 0) -> OrbitSam
     if count < MIN_ORBIT_SAMPLES:
         raise UsageError(f"count must be >= {MIN_ORBIT_SAMPLES}, got {count}")
     return _sample(rule, s0, _orbit_directions(rule.dimension), count, seed,
-                   OrbitConfig.amount_range)
+                   OrbitConfig.amount_range)[0]
 
 
 def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, seed: int,
-            amount_range: tuple[float, float]) -> OrbitSample:
+            amount_range: tuple[float, float]) -> tuple[OrbitSample, np.ndarray]:
     """count swaps from s0 cycling through directions, each trading a
     log-uniform fraction in amount_range of the input reserve, drawn
-    from trial_rng(seed, 0)."""
+    from trial_rng(seed, 0); the sample and its states as one array."""
     fractions = trial_draws(seed, [0]).log_uniform(*amount_range, count)[0]
-    steps = (directions[k % len(directions)] + (f,) for k, f in enumerate(fractions))
-    walk = _walk(rule, s0, steps, relative=True)
+    walk = _walk(rule, s0, (*np.resize(directions, (count, 2)).T, fractions), relative=True)
     if isinstance(walk.failure, AmmError):
         raise walk.failure
-    logs = np.log(np.stack(walk.states))
-    logs.flags.writeable = False
-    sample = OrbitSample(rule=rule.name, start=walk.states[0], states=tuple(walk.states),
-                         log_points=logs, seed=seed)
+    rows = tuple(walk.states)
+    sample = OrbitSample(rule=rule.name, start=rows[0], states=rows,
+                         log_points=_freeze(np.log(walk.states)), seed=seed)
     if walk.failure is not None:
         raise SamplingError(
             f"orbit sampling hit the domain boundary of {rule.name!r} {_describe_exit(walk)}",
             partial=sample,
         )
-    return sample
+    return sample, walk.states
 
 
 def _require_spread(cloud: np.ndarray) -> None:
@@ -269,7 +267,7 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
         orbit_seed = (cfg.seed ^ k) & 0xFFFFFFFFFFFFFFFF
         try:
             sample = _sample(rule, start, _orbit_directions(2), cfg.samples, orbit_seed,
-                             cfg.amount_range)
+                             cfg.amount_range)[0]
             fit = fit_log_line(sample)
         except AmmError as exc:
             return fail(f"orbit {k} (start {start.tolist()}): {exc}", partial)
@@ -398,13 +396,10 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
             slice_seed = (cfg.seed ^ (i * n + j)) & 0xFFFFFFFFFFFFFFFF
             others_fixed = False
             try:
-                sample = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
-                                 cfg.amount_range)
+                sample, cloud = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
+                                        cfg.amount_range)
                 others = [k for k in range(n) if k not in (i, j)]
-                others_fixed = all(
-                    all(state[k] == point[k] for k in others) for state in sample.states
-                )
-                cloud = np.stack(sample.states)
+                others_fixed = bool(np.all(cloud[:, others] == point[others]))
                 fit = fit_log_line(replace(sample, log_points=np.log(cloud[:, (i, j)])))
             except AmmError as exc:
                 verdict = False
@@ -436,7 +431,7 @@ def orbit_to_csv(sample: OrbitSample) -> str:
     """CSV with one row per state: x1..xn, then their logs u1..un."""
     n = int(sample.log_points.shape[1])
     header = ",".join([f"x{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)])
-    return _csv(header, np.hstack([np.stack(sample.states), sample.log_points]))
+    return _csv(header, np.hstack([np.array(sample.states), sample.log_points]))
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -194,7 +194,7 @@ def _cmd_simulate_fees(args) -> int:
             "phi": float(args.phi),
             "seed": int(args.seed),
             "trades": [[int(i), int(j), float(a)] for i, j, a in trades],
-            "states": [[float(v) for v in state] for state in series.states],
+            "states": [state.tolist() for state in series.states],
             "invariant_values": [float(v) for v in series.invariant_values],
         }
         _emit(_json_payload(payload), args.output)
@@ -205,13 +205,15 @@ def _cmd_simulate_fees(args) -> int:
 _TRADE_BLOCK = 4096
 
 
-def _random_trades(seed: int, n: int, count: int):
-    """(i, j, fraction of reserve i) for each trade t, drawn from trial stream t."""
+def _random_trades(seed: int, n: int, count: int) -> tuple[list, list, list]:
+    """Columns i, j and fraction of reserve i of the trades; trade t is
+    drawn from trial stream t."""
+    columns = ([], [], [])
     for first in range(0, count, _TRADE_BLOCK):
         draws = trial_draws(seed, range(first, min(first + _TRADE_BLOCK, count)))
-        i, j = draws.pair(n)
-        fractions = draws.log_uniform(1e-3, 1.0, 1)[:, 0]
-        yield from zip(i.tolist(), j.tolist(), fractions.tolist())
+        for column, drawn in zip(columns, (*draws.pair(n), draws.log_uniform(1e-3, 1.0, 1)[:, 0])):
+            column.extend(drawn.tolist())
+    return columns
 
 
 def _cmd_orbit_export(args) -> int:
@@ -234,8 +236,8 @@ def _cmd_orbit_export(args) -> int:
             "seed": int(args.seed),
             "start": [float(v) for v in sample.start],
             "partial": partial,
-            "states": [[float(v) for v in state] for state in sample.states],
-            "log_points": [[float(v) for v in row] for row in sample.log_points],
+            "states": [state.tolist() for state in sample.states],
+            "log_points": sample.log_points.tolist(),
         }
         _emit(_json_payload(payload), args.output)
     return 1 if partial else 0

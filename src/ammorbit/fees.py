@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +127,7 @@ def fee_drift(rule: SwapRule, s0, trades: Sequence[Move], fee: float) -> DriftSe
     return _fold(rule, s0, trades, fee)[0]
 
 
-def _fold(rule: SwapRule, s0, trades: Iterable[tuple], fee: float,
+def _fold(rule: SwapRule, s0, trades, fee: float,
           relative: bool = False) -> tuple[DriftSeries, list[Move]]:
     """fee_drift over trades (i, j, x) as rules._walk takes them, and the
     trades with amounts pinned.  Leaving the domain raises as swap() would."""
@@ -142,9 +142,9 @@ def _fold(rule: SwapRule, s0, trades: Iterable[tuple], fee: float,
         _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
     # weighted_gmean's own float operations, one state at a time: a
     # stacked log or matrix product may round differently.
-    values = tuple(math.exp(float(np.dot(w, np.log(a)))) for a in walk.states)
-    series = DriftSeries(rule=rule.name, fee=fee, states=tuple(walk.states),
-                         invariant_values=values)
+    states = tuple(walk.states)
+    values = tuple(math.exp(float(np.dot(w, np.log(a)))) for a in states)
+    series = DriftSeries(rule=rule.name, fee=fee, states=states, invariant_values=values)
     return series, walk.moves
 
 
@@ -167,4 +167,4 @@ def drift_to_csv(series: DriftSeries) -> str:
     else:
         header = "step," + ",".join(f"x{k + 1}" for k in range(n)) + ",phi"
     steps = np.arange(len(series.states), dtype=float)
-    return _csv(header, np.column_stack([steps, np.stack(series.states), series.invariant_values]))
+    return _csv(header, np.column_stack([steps, np.array(series.states), series.invariant_values]))

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import (AmmError, ChainError, ConfigError, DomainError,
+from .errors import (AmmError, ChainError, ConfigError, DomainError, InternalError,
                      MalformedInputError, NumericError, UsageError)
-from .state import _positive, as_reserves, as_weights, is_valid, weighted_gmean
+from .state import _freeze, _positive, as_reserves, as_weights, is_valid, weighted_gmean
 
 Move = tuple[int, int, float]
 
@@ -120,17 +120,28 @@ def _exp_or_inf(x: float) -> float:
         return math.inf
 
 
+class _PairSwap:
+    """swap_in of a rule built by _pair_rule: the kernel on floats, with
+    math.log and math.exp.  The walker's float step runs the same kernel and
+    weights; a wrapper, even one made by functools.wraps, is not a _PairSwap."""
+
+    __slots__ = ("kernel", "w")
+
+    def __init__(self, kernel: Callable[..., tuple], w: np.ndarray):
+        self.kernel, self.w = kernel, w
+
+    def __call__(self, s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
+        out = s.copy()
+        out[i], out[j] = self.kernel(s[i], s[j], self.w[i], self.w[j], amount, math.log, math.exp)
+        return out
+
+
 def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
                weights: np.ndarray | None) -> SwapRule:
     """A rule whose trade is kernel(s_i, s_j, w_i, w_j, amount, log, exp) ->
     (new_i, new_j), written once: swap_in runs it on floats with math.log
     and math.exp, swap_batch on gathered rows with libm per element, so the
-    two agree bit for bit."""
-
-    def swap_in(s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
-        out = s.copy()
-        out[i], out[j] = kernel(s[i], s[j], w[i], w[j], amount, math.log, math.exp)
-        return out
+    two agree bit for bit, and the walker runs it on Python floats."""
 
     def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
         rows = np.arange(s.shape[0])
@@ -140,8 +151,8 @@ def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
         out[rows, j] = new_j
         return out
 
-    return SwapRule(name=name, dimension=int(w.size), swap_in=swap_in, weights=weights,
-                    swap_batch=swap_batch)
+    return SwapRule(name=name, dimension=int(w.size), swap_in=_PairSwap(kernel, w),
+                    weights=weights, swap_batch=swap_batch)
 
 
 def weighted_product(weights: Sequence[float]) -> SwapRule:
@@ -216,7 +227,8 @@ def parse_rule(text: str) -> SwapRule:
 
 
 # swap() is three pieces: state checks, move checks and the trusted
-# step.  _walk runs the state checks once and the other two every move.
+# step.  _walk runs the state checks once, the move checks once per move
+# (once per walk, as arrays, for moves the library drew) and a step per move.
 
 def _in_domain(rule: SwapRule, a: np.ndarray) -> bool:
     # The default domain is the positive orthant; test it without is_valid's copy.
@@ -247,6 +259,25 @@ def _is_index(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def _check_drawn(n: int, i, j, x) -> tuple[list, list, list]:
+    """Columns of moves the library drew, as lists, checked once as arrays:
+    distinct integer indices below n and finite nonnegative fractions."""
+    i, j, x = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(x, float)
+    if not (i.ndim == 1 and i.shape == j.shape == x.shape and np.all(
+            (i != j) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < n)
+            & (x >= 0.0) & (x < math.inf))):
+        raise InternalError(f"drawn moves are not valid moves for dimension {n}")
+    return i.tolist(), j.tolist(), x.tolist()
+
+
+def _failed_at(rule: SwapRule, state: list, i, j, amount, exc: Exception | None = None) -> str:
+    """NumericError text for a step that raised exc, or that made a non-finite state."""
+    where = f"at {state}, pair ({i}, {j}), amount {amount!r}"
+    if exc is None:
+        return f"rule {rule.name!r} produced a non-finite result {where}"
+    return f"rule {rule.name!r} raised {type(exc).__name__} {where}: {exc}"
+
+
 def _step(rule: SwapRule, a: np.ndarray, i: int, j: int, amount, fee: float = 0.0) -> np.ndarray:
     """Raw post-trade state for a checked state and move.
 
@@ -267,15 +298,9 @@ def _step(rule: SwapRule, a: np.ndarray, i: int, j: int, amount, fee: float = 0.
     except AmmError:
         raise
     except Exception as exc:
-        raise NumericError(
-            f"rule {rule.name!r} raised {type(exc).__name__} at {a.tolist()}, "
-            f"pair ({i}, {j}), amount {amount!r}: {exc}"
-        ) from exc
+        raise NumericError(_failed_at(rule, a.tolist(), i, j, amount, exc)) from exc
     if out.shape != a.shape or not all(map(math.isfinite, out.tolist())):
-        raise NumericError(
-            f"rule {rule.name!r} produced a non-finite result at {a.tolist()}, "
-            f"pair ({i}, {j}), amount {amount!r}"
-        )
+        raise NumericError(_failed_at(rule, a.tolist(), i, j, amount))
     out.flags.writeable = False
     return out
 
@@ -293,46 +318,112 @@ def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
     return _step(rule, a, i, j, amount)
 
 
-class _Walk(NamedTuple):
-    """The start and each accepted state, the moves tried (amounts pinned),
-    and the failure: None, the AmmError that step len(states) raised, or
-    the out-of-domain state it produced."""
+def _float_step(rule: SwapRule, fee: float):
+    """_step and the domain test on a list of floats, for a rule whose swap_in
+    is a _PairSwap and whose domain is the default (else None).  Returns the
+    next state, or the read-only array of one outside the domain."""
+    if rule.domain is not is_valid or type(rule.swap_in) is not _PairSwap:
+        return None
+    kernel, w = rule.swap_in.kernel, rule.swap_in.w.tolist()
+    log, exp, inf = math.log, math.exp, math.inf
 
-    states: list[np.ndarray]
-    moves: list[Move]
+    def step(s: list, i: int, j: int, amount):
+        priced = (1.0 - fee) * amount if fee else amount
+        if priced == 0.0:
+            new_i, new_j = s[i], s[j]
+        else:
+            try:
+                new_i, new_j = kernel(s[i], s[j], w[i], w[j], float(priced), log, exp)
+            except OverflowError as exc:  # math.exp; a valid state gives log no other error
+                raise NumericError(_failed_at(rule, s, i, j, priced, exc)) from exc
+            if not (-inf < new_i < inf and -inf < new_j < inf):
+                raise NumericError(_failed_at(rule, s, i, j, priced))
+        if fee:
+            new_i, new_j = s[i] + float(amount), s[j] - (s[j] - new_j)
+        out = s.copy()
+        out[i], out[j] = new_i, new_j
+        if 0.0 < new_i < inf and 0.0 < new_j < inf:
+            return out
+        return _freeze(np.array(out))
+
+    return step
+
+
+def _array_step(rule: SwapRule, fee: float):
+    """The validating step, for any rule: _step and the domain on an array."""
+
+    def step(s: list, i, j, amount):
+        out = _step(rule, _freeze(np.array(s)), i, j, amount, fee)
+        return out.tolist() if _in_domain(rule, out) else out
+
+    return step
+
+
+class _Walk(NamedTuple):
+    """The start and each accepted state as one read-only (m, n) array, the
+    moves tried as columns i, j, amount (amounts pinned; i and j may run on
+    past the last move tried), and the failure: None, the AmmError that step
+    len(states) raised, or the out-of-domain state it produced."""
+
+    states: np.ndarray
+    tried: tuple[Sequence, Sequence, Sequence]
     failure: AmmError | np.ndarray | None
 
+    @property
+    def moves(self) -> list[Move]:
+        return list(zip(*self.tried))
 
-def _walk(rule: SwapRule, s0, moves: Iterable[tuple], relative: bool = False,
-          fee: float = 0.0) -> _Walk:
+
+def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -> _Walk:
     """Apply moves (i, j, x) in turn from s0, up to the first failing step.
 
-    x is the amount or, when relative, the fraction of reserve i to trade
-    (the move must then name valid tokens), pinned as float(x * current[i]).
-    s0 raises as in swap().  A step fails when swap()'s move checks or the
-    step raise AmmError, or when its output leaves the rule's domain.
+    Caller moves are checked as swap() checks them, each at its own step.
+    When relative, moves are three columns i, j, x that the library drew,
+    checked once; x is the fraction of reserve i to trade, pinned as
+    x * current[i], and only an amount that overflows fails its move check.
+    s0 raises as in swap().  A step fails when the checks or the step raise
+    AmmError, or when its output leaves the rule's domain.
     """
-    current = _check_state(rule, s0)
-    states = [current]
-    pinned: list[Move] = []
+    start = _check_state(rule, s0)
+    n = start.size
+    step = _float_step(rule, fee) or _array_step(rule, fee)
+    if relative:
+        i_col, j_col, x_col = _check_drawn(n, *moves)
+        tried = (i_col, j_col, [])
+        moves = zip(i_col, j_col, x_col)
+    else:
+        tried = ([], [], [])
+    pinned = tried[2]
+    current = start.tolist()
+    states = current.copy()
+    failure = None
     for i, j, x in moves:
-        amount = float(x * current[i]) if relative else x
-        pinned.append((i, j, amount))
+        if relative:
+            amount = x * current[i]
+        else:
+            amount = x
+            tried[0].append(i)
+            tried[1].append(j)
+        pinned.append(amount)
         try:
-            _check_move(current.size, i, j, amount)
-            current = _step(rule, current, i, j, amount, fee)
+            if not (relative and amount < math.inf):
+                _check_move(n, i, j, amount)
+            current = step(current, i, j, amount)
         except AmmError as exc:
-            return _Walk(states, pinned, exc)
-        if not _in_domain(rule, current):
-            return _Walk(states, pinned, current)
-        states.append(current)
-    return _Walk(states, pinned, None)
+            failure = exc
+            break
+        if not isinstance(current, list):
+            failure = current
+            break
+        states.extend(current)
+    return _Walk(_freeze(np.array(states)).reshape(-1, n), tried, failure)
 
 
 def _describe_exit(walk: _Walk) -> str:
     """'at step k: swap(...) = ...' for a walk that left the domain."""
-    i, j, amount = walk.moves[-1]
-    return (f"at step {len(walk.states)}: swap({walk.states[-1].tolist()}, {i}, {j}, "
+    k = len(walk.states)
+    i, j, amount = (column[k - 1] for column in walk.tried)
+    return (f"at step {k}: swap({walk.states[-1].tolist()}, {i}, {j}, "
             f"{amount!r}) = {walk.failure.tolist()}")
 
 

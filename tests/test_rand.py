@@ -186,7 +186,7 @@ def test_lemire_reader_matches_generator_on_rejected_draws():
 def test_fee_trades_orbit_fractions_and_starts_match_trial_rng(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_TRADE_BLOCK", 4)
     for n in (2, 3):
-        trades = list(cli._random_trades(2**63 + 5, n, 10))
+        trades = list(zip(*cli._random_trades(2**63 + 5, n, 10)))
         for t, (i, j, fraction) in enumerate(trades):
             rng = trial_rng(2**63 + 5, t)
             assert (i, j) == pair(rng, n)
@@ -195,7 +195,7 @@ def test_fee_trades_orbit_fractions_and_starts_match_trial_rng(tmp_path, monkeyp
     sample = sample_orbit(rule, [1.0, 1.0], 40, seed=9)
     fractions = log_uniform(trial_rng(9, 0), 1e-3, 1.0, 40)
     steps = [((0, 1), (1, 0))[k % 2] + (f,) for k, f in enumerate(fractions)]
-    want = _walk(rule, [1.0, 1.0], steps, relative=True).states
+    want = _walk(rule, [1.0, 1.0], zip(*steps), relative=True).states
     assert [s.tolist() for s in sample.states] == [s.tolist() for s in want]
     out = tmp_path / "classify.json"
     cli.main(["classify", "--rule", "wgm:0.8", "--orbits", "4", "--samples", "16",

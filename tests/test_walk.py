@@ -1,0 +1,245 @@
+"""The walker against a reference oracle.
+
+reference_walk is the per-step walker that every walk used before the
+float step: each move goes through fee_swap (swap() when the fee is 0),
+with swap()'s checks, and the walk ends at the first step that raises or
+leaves the domain.  _walk must match it on the states' bytes, the pinned
+moves, and the failure's type and message or exit state, whichever step
+it takes.
+"""
+
+import functools
+import math
+import sys
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from ammorbit import (AmmError, ChainError, InternalError, UsageError, chain, constant_sum,
+                      fee_drift, parse_rule, product, sample_orbit, weighted_product, wgm)
+from ammorbit import cli
+from ammorbit.fees import fee_swap
+from ammorbit.rules import _check_state, _float_step, _walk, is_valid
+
+
+def reference_walk(rule, s0, moves, relative=False, fee=0.0):
+    """(states, pinned moves, failure) as the per-step walker returned them."""
+    current = _check_state(rule, s0)
+    if relative:
+        moves = zip(*moves)
+    states, pinned = [current], []
+    for i, j, x in moves:
+        amount = float(x * current[i]) if relative else x
+        pinned.append((i, j, amount))
+        try:
+            current = fee_swap(rule, current, i, j, amount, fee)
+        except AmmError as exc:
+            return states, pinned, exc
+        if not rule.domain(current):
+            return states, pinned, current
+        states.append(current)
+    return states, pinned, None
+
+
+def assert_walks_match(rule, s0, moves, relative=False, fee=0.0):
+    """_walk against reference_walk; returns the walk."""
+    moves = tuple(moves) if relative else list(moves)
+    states, pinned, failure = reference_walk(rule, s0, moves, relative, fee)
+    walk = _walk(rule, s0, moves, relative, fee)
+    assert walk.states.tobytes() == np.stack(states).tobytes()
+    assert walk.states.shape == (len(states), rule.dimension)
+    assert repr(walk.moves) == repr(pinned)
+    if isinstance(failure, AmmError):
+        assert type(walk.failure) is type(failure)
+        assert str(walk.failure) == str(failure)
+    elif failure is None:
+        assert walk.failure is None
+    else:
+        assert isinstance(walk.failure, np.ndarray)
+        assert walk.failure.tobytes() == failure.tobytes()
+    return walk
+
+
+def drawn_moves(rng, n, count, lo=1e-3, hi=1.0):
+    """Columns (i, j, fraction) as the library draws them: lists of Python values."""
+    i = rng.integers(0, n, count)
+    j = (i + rng.integers(1, n, count)) % n
+    x = np.exp(rng.uniform(math.log(lo), math.log(hi), count))
+    return i.tolist(), j.tolist(), x.tolist()
+
+
+def caller_moves(rng, n, count, scale):
+    """Absolute moves, every fifth one of amount 0."""
+    i, j, x = drawn_moves(rng, n, count)
+    amounts = [0.0 if k % 5 == 0 else a * scale for k, a in enumerate(x)]
+    return list(zip(i, j, amounts))
+
+
+RULES = [wgm(w) for w in (1e-6, 0.1, 0.25, 0.3, 0.5, 0.7, 0.8, 0.9, 0.999999)] + [
+    product(), constant_sum(), weighted_product([0.2, 0.3, 0.5]),
+    weighted_product([0.1, 0.2, 0.3, 0.4])]
+
+
+@pytest.mark.parametrize("fee", [0.0, 0.003])
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_relative_walks_match_the_reference(rule, fee):
+    rng = np.random.default_rng(11)
+    start = np.exp(rng.uniform(-3.0, 3.0, rule.dimension)).tolist()
+    assert_walks_match(rule, start, drawn_moves(rng, rule.dimension, 400), True, fee)
+
+
+@pytest.mark.parametrize("fee", [0.0, 0.003])
+@pytest.mark.parametrize("rule", RULES, ids=lambda r: r.name)
+def test_absolute_walks_with_zero_amounts_match_the_reference(rule, fee):
+    rng = np.random.default_rng(12)
+    start = np.exp(rng.uniform(-3.0, 3.0, rule.dimension)).tolist()
+    assert_walks_match(rule, start, caller_moves(rng, rule.dimension, 400, 0.5), False, fee)
+
+
+@pytest.mark.parametrize("fee", [0.0, 0.003])
+def test_csum_overdraw_exits_match_the_reference(fee):
+    rule = constant_sum()
+    walk = assert_walks_match(rule, [1.0, 1.0], [(0, 1, 0.5), (0, 1, 0.75)], False, fee)
+    assert walk.failure.tolist()[1] <= 0.0 and len(walk.states) == 2
+    rng = np.random.default_rng(13)
+    walk = assert_walks_match(rule, [1.0, 2.0], drawn_moves(rng, 2, 200, hi=1.5), True, fee)
+    assert isinstance(walk.failure, np.ndarray)
+
+
+def test_zero_amounts_and_int_amounts_match_the_reference():
+    # With fee 0.9, the priced part of 5e-324 rounds to 0.0: the step then
+    # skips the kernel, which from (2, 3) would not give back 3.0 exactly.
+    for rule in (wgm(0.3), constant_sum(), weighted_product([0.2, 0.3, 0.5])):
+        n = rule.dimension
+        moves = [(0, 1, 5e-324), (0, 1, 0), (1, 0, 0.0), (0, 1, -0.0), (1, 0, 2),
+                 (0, 1, np.float32(0.25)), (1, 0, np.int64(1)), (n - 1, 0, 5e-324)]
+        for fee in (0.0, 0.003, 0.9):
+            assert_walks_match(rule, [2.0, 3.0] + [1.0] * (n - 2), moves, False, fee)
+
+
+def test_math_exp_overflow_raises_the_same_numeric_error():
+    # exp's argument rounds past log(max float) next to the largest reserve.
+    rule = wgm(0.8933989084592538)
+    start = [2.25938280964016e-282, sys.float_info.max]
+    for relative, moves in ((True, ([0], [1], [1e-17])), (False, [(0, 1, 2.25938280964016e-299)])):
+        walk = assert_walks_match(rule, start, moves, relative)
+        assert "raised OverflowError" in str(walk.failure)
+    walk = assert_walks_match(rule, start, ([0], [1], [1e-17 / 0.997]), True, 0.003)
+    assert "raised OverflowError" in str(walk.failure)
+
+
+def test_overflowing_relative_amounts_match_the_reference():
+    # Fractions up to 1e300 of the input reserve: the pinned amount can
+    # overflow to inf (a UsageError) or the output reserve underflow to 0.
+    failures = set()
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        for rule in (wgm(0.5), wgm(0.9), constant_sum(), weighted_product([0.2, 0.3, 0.5])):
+            for fee in (0.0, 0.003):
+                moves = drawn_moves(rng, rule.dimension, 64, hi=1e300)
+                walk = assert_walks_match(rule, [1.0] * rule.dimension, moves, True, fee)
+                failures.add(type(walk.failure).__name__)
+                if isinstance(walk.failure, UsageError):
+                    assert str(walk.failure) == "amount must be a finite number, got inf"
+    assert {"UsageError", "ndarray"} <= failures
+
+
+def test_three_token_fee_walk_exits_on_a_zero_reserve():
+    # At trade 19,099 reserve 0 holds 5e-324, the priced output exp()
+    # underflows to 0.0, and the fee leg s_j - (s_j - priced_j) pays all of
+    # it out.  The exit is pinned here as the walk reaches it today.
+    rule = parse_rule("wprod:0.2,0.3,0.5")
+    trades = cli._random_trades(7, 3, 30000)
+    walk = assert_walks_match(rule, [1.0, 1.0, 1.0], trades, True, 0.003)
+    assert len(walk.states) == 19099
+    assert walk.failure.tolist() == [0.0, 6.632243107104603e-64, 1.2196228189196703e+169]
+
+
+def test_wrapped_swap_in_and_custom_domain_take_the_validating_step():
+    rule = wgm(0.3)
+    calls = []
+
+    @functools.wraps(rule.swap_in)
+    def wrapped(*args):
+        calls.append(args)
+        return rule.swap_in(*args)
+
+    domain_calls = []
+
+    def domain(s):
+        domain_calls.append(s)
+        return is_valid(s)
+
+    assert _float_step(rule, 0.0) is not None
+    assert _float_step(replace(rule, name="renamed"), 0.0) is not None
+    rng = np.random.default_rng(14)
+    moves = drawn_moves(rng, 2, 50)
+    for variant, counter in ((replace(rule, swap_in=wrapped), calls),
+                             (replace(rule, domain=domain), domain_calls)):
+        assert _float_step(variant, 0.0) is None
+        assert_walks_match(variant, [1.0, 2.0], moves, True)
+        before = len(counter)
+        _walk(variant, [1.0, 2.0], moves, relative=True)
+        assert len(counter) - before >= 50
+
+
+def test_drawn_moves_are_checked_once_as_arrays():
+    for bad in (([0], [0], [0.5]), ([0], [2], [0.5]), ([0], [1], [-0.5]),
+                ([0], [1], [math.inf]), ([0, 1], [1], [0.5])):
+        with pytest.raises(InternalError):
+            _walk(wgm(0.5), [1.0, 1.0], bad, relative=True)
+
+
+def test_caller_moves_are_checked_at_their_own_step():
+    rule = constant_sum()
+    # Step 1 leaves the domain; the bad pair at step 2 is never reached.
+    with pytest.raises(ChainError) as err:
+        chain(rule, [1.0, 1.0], [(0, 1, 5.0), (0, 7, 1.0)])
+    assert err.value.step == 0 and "at step 1:" in str(err.value)
+    # A bad move before any exit raises its own error, as swap() words it.
+    cases = [((0, 0, 1.0), "bad token pair (0, 0) for dimension 2"),
+             ((0, 1, -1.0), "amount must be nonnegative, got -1.0"),
+             ((0, 1, math.nan), "amount must be a finite number, got nan"),
+             ((0, 1, True), "amount must be a finite number, got True"),
+             ((0.0, 1, 1.0), "bad token pair (0.0, 1) for dimension 2")]
+    for bad, message in cases:
+        for r in (rule, wgm(0.5)):
+            with pytest.raises(UsageError) as err:
+                chain(r, [1.0, 1.0], [(0, 1, 0.1), bad, (0, 1, 5.0)])
+            assert str(err.value) == message
+    with pytest.raises(UsageError, match="bad token pair"):
+        fee_drift(wgm(0.5), [1.0, 1.0], [(0, 1, 0.1), (0, 2, 0.1)], 0.003)
+
+
+def test_walk_results_are_tuples_of_read_only_rows():
+    rule = wgm(0.3)
+    orbit = sample_orbit(rule, [1.0, 2.0], 40, seed=3)
+    drift = fee_drift(rule, [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25), (0, 1, 0.0)], 0.003)
+    trajectory = chain(rule, [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25)])
+    for states, m in ((orbit.states, 40), (drift.states, 3), (trajectory.states, 2)):
+        assert isinstance(states, tuple) and len(states) == m + 1
+        for row in states:
+            assert isinstance(row, np.ndarray) and row.shape == (2,) and row.dtype == float
+            with pytest.raises(ValueError):
+                row[0] = 1.0
+            with pytest.raises(ValueError):
+                row += 1.0
+
+
+def test_orbit_sampling_holds_little_more_than_it_keeps():
+    # With one ndarray per state, the pinned moves as tuples and a stacked
+    # copy for the logs, the peak was 12.6 MB for 4.7 MB kept.  What is
+    # kept is now mostly the public tuple's row views, about 120 bytes each
+    # (3.6 MB); the peak exceeds it by the walk's moves only.
+    rule = wgm(0.5)
+    sample_orbit(rule, [1.0, 1.0], 64)
+    tracemalloc.start()
+    try:
+        sample = sample_orbit(rule, [1.0, 1.0], 30000)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sample.states) == 30001
+    assert peak < 7.5e6 and peak < 1.5 * kept, (kept, peak)
