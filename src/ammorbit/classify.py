@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -44,7 +45,7 @@ COMPONENT_EPS = 1e-9
 MIN_ORBIT_SAMPLES = 8
 
 # Rows of the cloud compared against all of it at once by the spread check.
-_SPREAD_BLOCK = 64
+_SPREAD_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -429,9 +430,13 @@ def check_equal_weights(fit: HyperplaneFit, tol: float) -> bool:
 
 def orbit_to_csv(sample: OrbitSample) -> str:
     """CSV with one row per state: x1..xn, then their logs u1..un."""
+    return "".join(_orbit_csv(sample))
+
+
+def _orbit_csv(sample: OrbitSample) -> Iterator[str]:
     n = int(sample.log_points.shape[1])
     header = ",".join([f"x{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)])
-    return _csv(header, np.hstack([np.array(sample.states), sample.log_points]))
+    return _csv(header, sample.states, sample.log_points)
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

@@ -16,22 +16,22 @@ spec_version format field.
 from __future__ import annotations
 
 import argparse
-import json
+import math
 import sys
-from pathlib import Path
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .axioms import TrialConfig, check_all, report_to_dict, shrink
-from .classify import (
-    OrbitConfig,
-    classification_to_dict,
-    orbit_to_csv,
-    sample_orbit,
-    verify_level_sets,
-)
+from .classify import (OrbitConfig, _orbit_csv, classification_to_dict, sample_orbit,
+                       verify_level_sets)
 from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError
-from .fees import _fold, drift_to_csv
+from .fees import _drift_csv, _fold
 from .rand import trial_draws
 from .rules import parse_rule
+from .state import _BLOCK
 
 SPEC_VERSION = "1.0"
 
@@ -86,21 +86,88 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, output: str | None) -> None:
-    if output:
-        try:
-            Path(output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write {output!r}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
-
-
-def _json_payload(payload: dict) -> str:
+def _emit(blocks: Iterable[str], output: str | None) -> None:
+    """Write an output's text blocks to the output file or stdout as they come."""
+    if not output:
+        sys.stdout.writelines(blocks)
+        return
     try:
-        return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise InternalError(f"payload is not strict JSON: {exc}") from exc
+        with open(output, "w", encoding="utf-8") as fh:
+            fh.writelines(blocks)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {output!r}: {exc}") from exc
+
+
+class _Rows(tuple):
+    """Equal-length 1-D arrays, each of ints or of floats, that JSON writes
+    as the list of their rows."""
+
+
+def _json_payload(payload: dict) -> Iterator[str]:
+    """The text of json.dumps(payload, indent=2, allow_nan=False) and a
+    newline, in blocks of at most _BLOCK rows, each formatted as it is read.
+    A NaN or an infinity anywhere raises here, before the first block."""
+    if not _finite(payload):
+        raise InternalError("payload is not strict JSON: it holds a NaN or an infinity")
+    return chain(_json(payload, "\n"), ["\n"])
+
+
+def _finite(value) -> bool:
+    """False if a float anywhere in value is NaN or infinite."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, _Rows):
+        return all(bool(np.isfinite(column).all()) for column in value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (list, tuple)):
+        return True
+    return all(map(math.isfinite if set(map(type, value)) == {float} else _finite, value))
+
+
+def _json(value, nl: str) -> Iterator[str]:
+    """Pieces of json.dumps(value, indent=2) for a value whose line starts
+    with nl, a newline and its indentation."""
+    if not isinstance(value, (dict, list, tuple)):
+        yield _scalar(value)
+        return
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    if not (len(value[0]) if isinstance(value, _Rows) else len(value)):
+        yield brackets
+        return
+    inner = nl + "  "
+    heads = chain([brackets[0] + inner], repeat("," + inner))
+    if isinstance(value, _Rows):
+        # One %-format per block of rows, as state._csv does.
+        row = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * len(value)) + inner + "]"
+        for lo in range(0, len(value[0]), _BLOCK):
+            cells = [column[lo:lo + _BLOCK].tolist() for column in value]
+            rows = ("," + inner).join([row] * len(cells[0]))
+            yield next(heads) + rows % tuple(chain.from_iterable(zip(*cells)))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield next(heads) + encode_basestring_ascii(key) + ": "
+            yield from _json(item, inner)
+    elif set(map(type, value)) <= {int, float}:
+        for lo in range(0, len(value), _BLOCK):
+            yield next(heads) + ("," + inner).join(map(repr, value[lo:lo + _BLOCK]))
+    else:
+        for item in value:
+            yield next(heads)
+            yield from _json(item, inner)
+    yield nl + brackets[1]
+
+
+def _scalar(value) -> str:
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, float):
+        return float.__repr__(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise InternalError(f"payload is not JSON: {type(value).__name__} {value!r}")
 
 
 def _parse_start(raw: str | None, dimension: int) -> list[float]:
@@ -182,10 +249,10 @@ def _cmd_simulate_fees(args) -> int:
     if args.trades < 0:
         raise UsageError(f"trades must be >= 0, got {args.trades}")
     start = _parse_start(args.start, rule.dimension)
-    series, trades = _fold(rule, start, _random_trades(args.seed, rule.dimension, args.trades),
-                           args.phi, relative=True)
+    series, walk = _fold(rule, start, _random_trades(args.seed, rule.dimension, args.trades),
+                         args.phi, relative=True)
     if args.format == "csv":
-        _emit(drift_to_csv(series), args.output)
+        _emit(_drift_csv(series), args.output)
     else:
         payload = {
             "spec_version": SPEC_VERSION,
@@ -193,9 +260,9 @@ def _cmd_simulate_fees(args) -> int:
             "rule": rule.name,
             "phi": float(args.phi),
             "seed": int(args.seed),
-            "trades": [[int(i), int(j), float(a)] for i, j, a in trades],
-            "states": [state.tolist() for state in series.states],
-            "invariant_values": [float(v) for v in series.invariant_values],
+            "trades": _Rows(map(np.asarray, walk.tried)),
+            "states": _Rows(walk.states.T),
+            "invariant_values": series.invariant_values,
         }
         _emit(_json_payload(payload), args.output)
     return 0
@@ -227,7 +294,7 @@ def _cmd_orbit_export(args) -> int:
         sample = exc.partial
         partial = True
     if args.format == "csv":
-        _emit(orbit_to_csv(sample), args.output)
+        _emit(_orbit_csv(sample), args.output)
     else:
         payload = {
             "spec_version": SPEC_VERSION,
@@ -236,8 +303,8 @@ def _cmd_orbit_export(args) -> int:
             "seed": int(args.seed),
             "start": [float(v) for v in sample.start],
             "partial": partial,
-            "states": [state.tolist() for state in sample.states],
-            "log_points": sample.log_points.tolist(),
+            "states": _Rows(np.array(sample.states).T),
+            "log_points": _Rows(sample.log_points.T),
         }
         _emit(_json_payload(payload), args.output)
     return 1 if partial else 0
@@ -250,6 +317,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ConfigError(f"seed must fit in 64 bits, got {args.seed!r}")
         return args.handler(args)
     except AmmError as exc:
         print(f"error: {exc}", file=sys.stderr)

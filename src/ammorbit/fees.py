@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import AmmError, ConfigError, UsageError
-from .rules import Move, SwapRule, _check_move, _check_state, _step, _walk, swap
+from .rules import (Move, SwapRule, _check_move, _check_state, _step, _Walk, _walk,
+                    swap)
 from .state import _csv, as_reserves, as_weights, rel_close
 
 MATCH_TOL = 1e-12
@@ -128,9 +129,9 @@ def fee_drift(rule: SwapRule, s0, trades: Sequence[Move], fee: float) -> DriftSe
 
 
 def _fold(rule: SwapRule, s0, trades, fee: float,
-          relative: bool = False) -> tuple[DriftSeries, list[Move]]:
+          relative: bool = False) -> tuple[DriftSeries, _Walk]:
     """fee_drift over trades (i, j, x) as rules._walk takes them, and the
-    trades with amounts pinned.  Leaving the domain raises as swap() would."""
+    walk.  Leaving the domain raises as swap() would."""
     fee = _check_fee(fee)
     if rule.weights is None:
         raise UsageError(f"rule {rule.name!r} declares no invariant to track")
@@ -140,12 +141,12 @@ def _fold(rule: SwapRule, s0, trades, fee: float,
         raise walk.failure
     if walk.failure is not None:
         _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
-    # weighted_gmean's own float operations, one state at a time: a
-    # stacked log or matrix product may round differently.
-    states = tuple(walk.states)
-    values = tuple(math.exp(float(np.dot(w, np.log(a)))) for a in states)
-    series = DriftSeries(rule=rule.name, fee=fee, states=states, invariant_values=values)
-    return series, walk.moves
+    # weighted_gmean's own float operations: one elementwise log, then one
+    # dot product per state; a stacked matrix product may round differently.
+    values = tuple(math.exp(float(np.dot(w, row))) for row in np.log(walk.states))
+    series = DriftSeries(rule=rule.name, fee=fee, states=tuple(walk.states),
+                         invariant_values=values)
+    return series, walk
 
 
 def scaling_factor(weights, factors) -> float:
@@ -161,10 +162,11 @@ def scaling_factor(weights, factors) -> float:
 
 def drift_to_csv(series: DriftSeries) -> str:
     """CSV of the drift series; two-token header is step,x,y,phi."""
+    return "".join(_drift_csv(series))
+
+
+def _drift_csv(series: DriftSeries) -> Iterator[str]:
     n = series.states[0].size
-    if n == 2:
-        header = "step,x,y,phi"
-    else:
-        header = "step," + ",".join(f"x{k + 1}" for k in range(n)) + ",phi"
-    steps = np.arange(len(series.states), dtype=float)
-    return _csv(header, np.column_stack([steps, np.array(series.states), series.invariant_values]))
+    names = ["x", "y"] if n == 2 else [f"x{k + 1}" for k in range(n)]
+    return _csv(",".join(["step", *names, "phi"]), np.arange(len(series.states)),
+                series.states, series.invariant_values)

@@ -10,7 +10,7 @@ immutable values.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -20,6 +20,9 @@ from .errors import DomainError, MalformedInputError, NumericError, UsageError
 REL_TOL = 1e-12
 
 WEIGHT_SUM_TOL = 1e-12
+
+# Rows formatted per block of CLI output, CSV or JSON.
+_BLOCK = 1024
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -148,13 +151,14 @@ def rel_dist(a, b) -> float:
     return float(np.max(np.abs(aa - bb) / scale_ref))
 
 
-def _csv(header: str, table: np.ndarray) -> str:
-    """header, then one line of '%.17g' cells per row of a float table."""
-    # A thousand rows per %-format: one call per cell is slower, and one
+def _csv(header: str, *columns) -> Iterator[str]:
+    """header, then one line of '%.17g' cells per row, in blocks of _BLOCK
+    rows.  A column holds one number, or one vector of them, per row; the
+    header names one cell per comma-separated field."""
+    # A block of rows per %-format: one call per cell is slower, and one
     # for the whole table holds more memory.
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    parts = [header + "\n"]
-    for start in range(0, len(table), 1024):
-        block = table[start:start + 1024]
-        parts.append(row * len(block) % tuple(block.ravel().tolist()))
-    return "".join(parts)
+    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    yield header + "\n"
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = np.column_stack([np.asarray(c[start:start + _BLOCK], float) for c in columns])
+        yield row * len(block) % tuple(block.ravel().tolist())

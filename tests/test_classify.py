@@ -162,6 +162,18 @@ class TestLineFit:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
+    def test_spread_check_compares_a_few_rows_at_a_time(self):
+        # 2,049 points: each block of the spread check holds block x 2,049
+        # x 2 differences, 6 MB at 64 rows a block.
+        sample = sample_orbit(wgm(0.8), as_reserves([1.0, 1.0]), count=2048, seed=7)
+        tracemalloc.start()
+        try:
+            fit_log_line(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
+
     def test_residual_measures_orthogonal_scatter(self):
         sample = synthetic_orbit("x", [[0.0, 0.01], [1.0, -1.0], [2.0, -2.0],
                                        [-1.0, 1.0]])

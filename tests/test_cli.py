@@ -170,6 +170,36 @@ class TestSimulateFeesCommand:
         assert rc == 2
 
 
+class TestSeedRange:
+    # Seeds key 64-bit Philox streams; one outside [0, 2**64) used to wrap
+    # silently onto another seed's output in the walk commands.
+    COMMANDS = {
+        "check-axioms": ["check-axioms", "--rule", "wgm:0.5", "--trials", "10"],
+        "classify": ["classify", "--rule", "wgm:0.5", "--orbits", "2", "--samples", "16"],
+        "fees-csv": ["simulate-fees", "--rule", "product", "--phi", "0.003", "--trades", "10"],
+        "fees-no-trades": ["simulate-fees", "--rule", "product", "--phi", "0.003",
+                           "--trades", "0"],
+        "fees-json": ["simulate-fees", "--rule", "product", "--phi", "0.003", "--trades", "10",
+                      "--format", "json"],
+        "orbit-csv": ["orbit-export", "--rule", "wgm:0.5", "--samples", "16"],
+        "orbit-json": ["orbit-export", "--rule", "wgm:0.5", "--samples", "16",
+                       "--format", "json"],
+    }
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_of_range_seed_exits_two(self, command, seed, capsys):
+        assert cli.main(self.COMMANDS[command] + ["--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: seed must fit in 64 bits, got {seed}\n"
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_range_ends_are_accepted(self, seed, capsys):
+        assert cli.main(["orbit-export", "--rule", "wgm:0.5", "--samples", "16",
+                         "--seed", str(seed)]) == 0
+
+
 class TestOrbitExportCommand:
     def test_csv_export(self, tmp_path):
         rc, path = run(["orbit-export", "--rule", "wgm:0.5", "--samples", "16",

@@ -10,11 +10,13 @@ from ammorbit import (
     ConfigError,
     UsageError,
     as_reserves,
+    cli,
     constant_sum,
     decompose_check,
     drift_to_csv,
     fee_drift,
     fee_swap,
+    parse_rule,
     product,
     scaling_factor,
     swap,
@@ -22,6 +24,7 @@ from ammorbit import (
     weighted_product,
     wgm,
 )
+from ammorbit.fees import _fold
 from ammorbit.rand import log_uniform, trial_rng
 
 
@@ -146,6 +149,17 @@ class TestFeeDrift:
     def test_requires_tracked_invariant(self):
         with pytest.raises(UsageError):
             fee_drift(constant_sum(), as_reserves([1.0, 1.0]), [], 0.003)
+
+    @pytest.mark.parametrize("rule", ["product", "wgm:0.3", "wprod:0.2,0.3,0.5"])
+    def test_invariant_values_are_weighted_gmean_bit_for_bit(self, rule):
+        # The fold logs the whole walk at once; every value must still be
+        # what weighted_gmean computes from that one state.
+        parsed = parse_rule(rule)
+        series, _ = _fold(parsed, [1.0] * parsed.dimension,
+                          cli._random_trades(7, parsed.dimension, 5000), 0.003, relative=True)
+        assert len(series.invariant_values) == 5001
+        for state, value in zip(series.states, series.invariant_values):
+            assert value.hex() == weighted_gmean(state, parsed.weights).hex()
 
 
 class TestScalingFactor:
