@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import (AmmError, ConfigError, InternalError, UsageError, require_integer,
-                     require_range, require_real)
+                     require_range, require_real, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
 from .rules import SwapRule, _walk, _Walk, swap, swap_rows
 from .state import _positive, rel_close
@@ -57,10 +57,9 @@ class TrialConfig:
     tolerance: float = 1e-9
 
     def __post_init__(self):
-        for name in ("seed", "trials", "chain_length"):
+        require_seed(self.seed)
+        for name in ("trials", "chain_length"):
             require_integer(name, getattr(self, name))
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.chain_length < 1:
@@ -512,13 +511,20 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
         raise UsageError("only failed reports can be shrunk")
     predicate = _PREDICATES[report.axiom]
     tol = report.tolerance
-    inputs = _copy_inputs(report.witness.inputs)
+    inputs = dict(report.witness.inputs)
 
     def violates(candidate: dict) -> bool:
         return predicate(rule, candidate, tol)[0]
 
     if not violates(inputs):
         raise UsageError("witness does not replay; refusing to shrink a stale report")
+
+    # Witness slots (key, index) in visiting order: coordinates and factors,
+    # then the scalar amount (index None) and each move's amount.
+    slots = [(key, index) for key in ("state", "start", "factors", "amount", "moves")
+             if key in inputs
+             for index in ([None] if key == "amount" else range(len(inputs[key])))]
+    coords = [(key, index) for key, index in slots if key not in ("amount", "moves")]
 
     for _ in range(_MAX_PASSES):
         changed = False
@@ -528,49 +534,23 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
         # amount can wall off coordinate moves that would still fail.
         for _ in range(_MAX_PASSES):
             moved = False
-            for key in ("state", "start", "factors"):
-                coords = inputs.get(key)
-                if coords is None:
-                    continue
-                for idx, value in enumerate(coords):
-                    candidate_value = _toward_one(value)
-                    if candidate_value == value:
-                        continue
-                    candidate = _copy_inputs(inputs)
-                    candidate[key] = list(coords)
-                    candidate[key][idx] = candidate_value
-                    if violates(candidate):
-                        inputs = candidate
-                        coords = inputs[key]
-                        moved = True
+            for key, index in coords:
+                value = inputs[key][index]
+                candidate = _with(inputs, key, index, _toward_one(value))
+                if candidate[key][index] != value and violates(candidate):
+                    inputs = candidate
+                    moved = True
             if not moved:
                 break
             changed = True
 
-        if "amount" in inputs:
-            def check_amount(a: float) -> bool:
-                candidate = _copy_inputs(inputs)
-                candidate["amount"] = a
-                return violates(candidate)
-
-            best = _min_failing_amount(check_amount, float(inputs["amount"]))
-            if best != inputs["amount"]:
-                inputs = _copy_inputs(inputs)
-                inputs["amount"] = best
+        for key, index in slots[len(coords):]:
+            amount = inputs[key] if index is None else inputs[key][index][2]
+            best = _min_failing_amount(
+                lambda a: violates(_with(inputs, key, index, a)), float(amount))
+            if best != amount:
+                inputs = _with(inputs, key, index, best)
                 changed = True
-
-        if "moves" in inputs:
-            for idx, (i, j, amount) in enumerate(inputs["moves"]):
-                def check_move(a: float, idx=idx, i=i, j=j) -> bool:
-                    candidate = _copy_inputs(inputs)
-                    candidate["moves"][idx] = [i, j, a]
-                    return violates(candidate)
-
-                best = _min_failing_amount(check_move, float(amount))
-                if best != amount:
-                    inputs = _copy_inputs(inputs)
-                    inputs["moves"][idx] = [i, j, best]
-                    changed = True
 
         if not changed:
             break
@@ -583,13 +563,15 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
     return replace(report, witness=witness, shrunk=True)
 
 
-def _copy_inputs(inputs: dict) -> dict:
-    out = {}
-    for key, value in inputs.items():
-        if isinstance(value, list):
-            out[key] = [list(v) if isinstance(v, (list, tuple)) else v for v in value]
-        else:
-            out[key] = value
+def _with(inputs: dict, key: str, index: int | None, value) -> dict:
+    """A copy of inputs with the value in slot (key, index) replaced; the
+    lists it changes are copied, the rest shared."""
+    out = dict(inputs)
+    if index is None:
+        out[key] = value
+    else:
+        items = out[key] = list(out[key])
+        items[index] = [*items[index][:2], value] if key == "moves" else value
     return out
 
 

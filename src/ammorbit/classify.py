@@ -25,9 +25,11 @@ from .errors import (
     SamplingError,
     UsageError,
     VerticalFitError,
+    is_real,
     require_integer,
     require_range,
     require_real,
+    require_seed,
 )
 from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
@@ -58,10 +60,8 @@ class OrbitConfig:
     amount_range: tuple[float, float] = (1e-3, 1.0)
 
     def __post_init__(self):
-        require_integer("seed", self.seed)
+        require_seed(self.seed)
         require_integer("samples", self.samples)
-        if not (0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must fit in 64 bits, got {self.seed!r}")
         if self.samples < MIN_ORBIT_SAMPLES:
             raise ConfigError(f"samples must be >= {MIN_ORBIT_SAMPLES}, got {self.samples}")
         require_range("amount_range", self.amount_range)
@@ -160,8 +160,10 @@ def sample_orbit(rule: SwapRule, s0, count: int = 64, seed: int = 0) -> OrbitSam
     amounts are log-uniform fractions of the input reserve.  Leaving the
     rule's domain raises SamplingError carrying the partial sample.
     """
+    require_integer("count", count)
     if count < MIN_ORBIT_SAMPLES:
         raise UsageError(f"count must be >= {MIN_ORBIT_SAMPLES}, got {count}")
+    require_seed(seed)
     return _sample(rule, s0, _orbit_directions(rule.dimension), count, seed,
                    OrbitConfig.amount_range)[0]
 
@@ -225,7 +227,7 @@ def fit_log_line(sample: OrbitSample) -> LineFit:
 
 def weight_from_slope(slope_magnitude: float) -> float:
     """Map the line's downhill rate c to the invariant weight c / (1 + c)."""
-    if not (isinstance(slope_magnitude, (int, float)) and math.isfinite(slope_magnitude)):
+    if not (is_real(slope_magnitude) and math.isfinite(slope_magnitude)):
         raise DomainError(f"slope magnitude must be finite, got {slope_magnitude!r}")
     if slope_magnitude <= 0.0:
         raise DomainError(f"slope magnitude must be positive, got {slope_magnitude!r}")

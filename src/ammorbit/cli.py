@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from contextlib import nullcontext
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
@@ -27,7 +29,7 @@ import numpy as np
 from .axioms import TrialConfig, check_all, report_to_dict, shrink
 from .classify import (OrbitConfig, _orbit_csv, classification_to_dict, sample_orbit,
                        verify_level_sets)
-from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError
+from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError, require_seed
 from .fees import _drift_csv, _fold
 from .rand import trial_draws
 from .rules import parse_rule
@@ -88,14 +90,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(blocks: Iterable[str], output: str | None) -> None:
     """Write an output's text blocks to the output file or stdout as they come."""
-    if not output:
-        sys.stdout.writelines(blocks)
-        return
     try:
-        with open(output, "w", encoding="utf-8") as fh:
+        with open(output, "w", encoding="utf-8") if output else nullcontext(sys.stdout) as fh:
             fh.writelines(blocks)
+            fh.flush()
     except OSError as exc:
-        raise ConfigError(f"cannot write {output!r}: {exc}") from exc
+        if not output:
+            # Send what is still buffered nowhere: the flush at exit would fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise ConfigError(f"cannot write {repr(output) if output else 'stdout'}: {exc}") from exc
 
 
 class _Rows(tuple):
@@ -317,8 +322,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        if not 0 <= args.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 bits, got {args.seed!r}")
+        require_seed(args.seed)
         return args.handler(args)
     except AmmError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Every error raised on purpose derives from AmmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
-require_integer, require_real and require_range are the config objects'
-shared type checks.
+require_integer, require_seed, require_real (over is_real) and
+require_range are the shared checks of config objects and scalar arguments.
 """
 
 from __future__ import annotations
@@ -38,9 +38,21 @@ def require_integer(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def require_seed(value) -> None:
+    """Raise ConfigError unless value is an integer seed in [0, 2**64)."""
+    require_integer("seed", value)
+    if not 0 <= value < 2**64:
+        raise ConfigError(f"seed must fit in 64 bits, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """True iff value is a real number, numpy's included; a bool is not one."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def require_real(name: str, value) -> None:
     """Raise ConfigError unless value is a real number (bool excluded)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not is_real(value):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 

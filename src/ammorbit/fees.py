@@ -15,17 +15,15 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmmError, ConfigError, UsageError
-from .rules import (Move, SwapRule, _check_move, _check_state, _step, _Walk, _walk,
-                    swap)
+from .errors import AmmError, ConfigError, UsageError, require_real
+from .rules import Move, SwapRule, _check_state, _swap, _Walk, _walk, swap
 from .state import _csv, as_reserves, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
 
 def _check_fee(fee: float) -> float:
-    if not (isinstance(fee, (int, float)) and math.isfinite(fee)):
-        raise ConfigError(f"fee must be a finite number, got {fee!r}")
+    require_real("fee", fee)
     if not (0.0 <= fee < 1.0):
         raise ConfigError(f"fee must lie in [0, 1), got {fee!r}")
     return float(fee)
@@ -37,10 +35,7 @@ def fee_swap(rule: SwapRule, s, i: int, j: int, amount: float, fee: float) -> np
     With fee == 0 this is exactly swap().  Otherwise the output leg is
     settled from the effective input and the fee stays in reserve i.
     """
-    fee = _check_fee(fee)
-    a = _check_state(rule, s)
-    _check_move(a.size, i, j, amount)
-    return _step(rule, a, i, j, amount, fee)
+    return _swap(rule, s, i, j, amount, _check_fee(fee))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (AmmError, ChainError, ConfigError, DomainError, InternalError,
-                     MalformedInputError, NumericError, UsageError)
+                     MalformedInputError, NumericError, UsageError, is_real, require_real)
 from .state import _freeze, _positive, as_reserves, as_weights, is_valid, weighted_gmean
 
 Move = tuple[int, int, float]
@@ -122,8 +122,8 @@ def _exp_or_inf(x: float) -> float:
 
 class _PairSwap:
     """swap_in of a rule built by _pair_rule: the kernel on floats, with
-    math.log and math.exp.  The walker's float step runs the same kernel and
-    weights; a wrapper, even one made by functools.wraps, is not a _PairSwap."""
+    math.log and math.exp.  The trusted step runs the same kernel and weights
+    on floats; a wrapper, even one made by functools.wraps, is not a _PairSwap."""
 
     __slots__ = ("kernel", "w")
 
@@ -141,7 +141,7 @@ def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
     """A rule whose trade is kernel(s_i, s_j, w_i, w_j, amount, log, exp) ->
     (new_i, new_j), written once: swap_in runs it on floats with math.log
     and math.exp, swap_batch on gathered rows with libm per element, so the
-    two agree bit for bit, and the walker runs it on Python floats."""
+    two agree bit for bit, and the trusted step runs it on Python floats."""
 
     def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
         rows = np.arange(s.shape[0])
@@ -167,8 +167,7 @@ def weighted_product(weights: Sequence[float]) -> SwapRule:
 
 def wgm(weight: float) -> SwapRule:
     """Two-token weighted rule holding x**w * y**(1-w) fixed."""
-    if not (isinstance(weight, (int, float)) and math.isfinite(weight)):
-        raise ConfigError(f"wgm weight must be a finite number, got {weight!r}")
+    require_real("wgm weight", weight)
     if not (0.0 < weight < 1.0):
         raise ConfigError(f"wgm weight must lie strictly in (0, 1), got {weight!r}")
     return weighted_product((float(weight), 1.0 - float(weight)))
@@ -227,20 +226,16 @@ def parse_rule(text: str) -> SwapRule:
 
 
 # swap() is three pieces: state checks, move checks and the trusted
-# step.  _walk runs the state checks once, the move checks once per move
-# (once per walk, as arrays, for moves the library drew) and a step per move.
-
-def _in_domain(rule: SwapRule, a: np.ndarray) -> bool:
-    # The default domain is the positive orthant; test it without is_valid's copy.
-    return _positive(a) if rule.domain is is_valid else bool(rule.domain(a))
-
+# step, _stepper.  _walk runs the state checks once, the move checks once per
+# move (once per walk, as arrays, for moves the library drew) and a step per move.
 
 def _check_state(rule: SwapRule, s) -> np.ndarray:
     """Read-only float copy of s, which must be a state in rule's domain."""
     a = as_reserves(s)
     if a.size != rule.dimension:
         raise UsageError(f"rule {rule.name!r} is {rule.dimension}-token, state has {a.size}")
-    if not _in_domain(rule, a):
+    # The default domain is the positive orthant; test it without is_valid's copy.
+    if not (_positive(a) if rule.domain is is_valid else rule.domain(a)):
         raise DomainError(f"state {a.tolist()} is outside the domain of rule {rule.name!r}")
     return a
 
@@ -248,8 +243,7 @@ def _check_state(rule: SwapRule, s) -> np.ndarray:
 def _check_move(n: int, i, j, amount) -> None:
     if not (_is_index(i) and _is_index(j) and i != j and 0 <= i < n and 0 <= j < n):
         raise UsageError(f"bad token pair ({i}, {j}) for dimension {n}")
-    if (isinstance(amount, bool) or not isinstance(amount, (int, float, np.integer, np.floating))
-            or not math.isfinite(amount)):
+    if not (is_real(amount) and math.isfinite(amount)):
         raise UsageError(f"amount must be a finite number, got {amount!r}")
     if amount < 0.0:
         raise UsageError(f"amount must be nonnegative, got {amount!r}")
@@ -278,31 +272,50 @@ def _failed_at(rule: SwapRule, state: list, i, j, amount, exc: Exception | None 
     return f"rule {rule.name!r} raised {type(exc).__name__} {where}: {exc}"
 
 
-def _step(rule: SwapRule, a: np.ndarray, i: int, j: int, amount, fee: float = 0.0) -> np.ndarray:
-    """Raw post-trade state for a checked state and move.
+def _stepper(rule: SwapRule, fee: float = 0.0):
+    """step(s, i, j, amount): the raw post-trade state of a checked move from
+    a state s in rule's domain, both lists of floats.  A _PairSwap's kernel
+    runs on the floats, any other swap_in on a read-only array.  A nonzero
+    fee prices (1 - fee) * amount through the rule, banks the full amount in
+    reserve i, and pays out of j what the priced trade does."""
+    swap_in, pair = rule.swap_in, type(rule.swap_in) is _PairSwap
+    kernel, w = (swap_in.kernel, swap_in.w.tolist()) if pair else (None, None)
+    log, exp, inf = math.log, math.exp, math.inf
 
-    A nonzero fee prices (1 - fee) * amount through the rule, banks the
-    full amount in reserve i, and pays out of j what the priced trade does.
-    """
-    if fee:
-        paid_out = float(a[j] - _step(rule, a, i, j, (1.0 - fee) * amount)[j])
-        out = a.copy()
-        out[i] += amount
-        out[j] -= paid_out
-        out.flags.writeable = False
+    def step(s: list, i: int, j: int, amount) -> list:
+        priced = (1.0 - fee) * amount if fee else amount
+        out = s
+        if priced != 0.0:
+            try:
+                if pair:
+                    new_i, new_j = kernel(s[i], s[j], w[i], w[j], float(priced), log, exp)
+                    finite = -inf < new_i < inf and -inf < new_j < inf
+                    out = s.copy()
+                    out[i], out[j] = new_i, new_j
+                else:
+                    a = np.asarray(swap_in(_freeze(np.array(s)), i, j, float(priced)), float)
+                    out = a.tolist()
+                    finite = a.shape == (len(s),) and all(map(math.isfinite, out))
+            except AmmError:
+                raise
+            except Exception as exc:
+                raise NumericError(_failed_at(rule, s, i, j, priced, exc)) from exc
+            if not finite:
+                raise NumericError(_failed_at(rule, s, i, j, priced))
+        if fee:
+            paid_out = s[j] - out[j]
+            out = s.copy()
+            out[i], out[j] = s[i] + float(amount), s[j] - paid_out
         return out
-    if amount == 0.0:
-        return a
-    try:
-        out = np.asarray(rule.swap_in(a, i, j, float(amount)), dtype=float)
-    except AmmError:
-        raise
-    except Exception as exc:
-        raise NumericError(_failed_at(rule, a.tolist(), i, j, amount, exc)) from exc
-    if out.shape != a.shape or not all(map(math.isfinite, out.tolist())):
-        raise NumericError(_failed_at(rule, a.tolist(), i, j, amount))
-    out.flags.writeable = False
-    return out
+
+    return step
+
+
+def _swap(rule: SwapRule, s, i: int, j: int, amount, fee: float = 0.0) -> np.ndarray:
+    """swap() with a checked fee: the state and move checks, then one step."""
+    a = _check_state(rule, s)
+    _check_move(a.size, i, j, amount)
+    return _freeze(np.array(_stepper(rule, fee)(a.tolist(), i, j, amount)))
 
 
 def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
@@ -313,50 +326,7 @@ def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
     state.  The output is not required to be valid; validity of outputs
     is the harness's business.
     """
-    a = _check_state(rule, s)
-    _check_move(a.size, i, j, amount)
-    return _step(rule, a, i, j, amount)
-
-
-def _float_step(rule: SwapRule, fee: float):
-    """_step and the domain test on a list of floats, for a rule whose swap_in
-    is a _PairSwap and whose domain is the default (else None).  Returns the
-    next state, or the read-only array of one outside the domain."""
-    if rule.domain is not is_valid or type(rule.swap_in) is not _PairSwap:
-        return None
-    kernel, w = rule.swap_in.kernel, rule.swap_in.w.tolist()
-    log, exp, inf = math.log, math.exp, math.inf
-
-    def step(s: list, i: int, j: int, amount):
-        priced = (1.0 - fee) * amount if fee else amount
-        if priced == 0.0:
-            new_i, new_j = s[i], s[j]
-        else:
-            try:
-                new_i, new_j = kernel(s[i], s[j], w[i], w[j], float(priced), log, exp)
-            except OverflowError as exc:  # math.exp; a valid state gives log no other error
-                raise NumericError(_failed_at(rule, s, i, j, priced, exc)) from exc
-            if not (-inf < new_i < inf and -inf < new_j < inf):
-                raise NumericError(_failed_at(rule, s, i, j, priced))
-        if fee:
-            new_i, new_j = s[i] + float(amount), s[j] - (s[j] - new_j)
-        out = s.copy()
-        out[i], out[j] = new_i, new_j
-        if 0.0 < new_i < inf and 0.0 < new_j < inf:
-            return out
-        return _freeze(np.array(out))
-
-    return step
-
-
-def _array_step(rule: SwapRule, fee: float):
-    """The validating step, for any rule: _step and the domain on an array."""
-
-    def step(s: list, i, j, amount):
-        out = _step(rule, _freeze(np.array(s)), i, j, amount, fee)
-        return out.tolist() if _in_domain(rule, out) else out
-
-    return step
+    return _swap(rule, s, i, j, amount)
 
 
 class _Walk(NamedTuple):
@@ -386,7 +356,7 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
     """
     start = _check_state(rule, s0)
     n = start.size
-    step = _float_step(rule, fee) or _array_step(rule, fee)
+    step, default, inf = _stepper(rule, fee), rule.domain is is_valid, math.inf
     if relative:
         i_col, j_col, x_col = _check_drawn(n, *moves)
         tried = (i_col, j_col, [])
@@ -406,14 +376,17 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
             tried[1].append(j)
         pinned.append(amount)
         try:
-            if not (relative and amount < math.inf):
+            if not (relative and amount < inf):
                 _check_move(n, i, j, amount)
             current = step(current, i, j, amount)
+            # The fee leg can overflow reserve i after the priced trade passed;
+            # no step makes a NaN, so the default domain is min > 0 without inf.
+            if not (0.0 < min(current) and inf not in current if default
+                    else rule.domain(_freeze(np.array(current)))):
+                failure = _freeze(np.array(current))
+                break
         except AmmError as exc:
             failure = exc
-            break
-        if not isinstance(current, list):
-            failure = current
             break
         states.extend(current)
     return _Walk(_freeze(np.array(states)).reshape(-1, n), tried, failure)

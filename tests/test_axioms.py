@@ -246,6 +246,20 @@ class TestShrinking:
         # still violates at the checker's own tolerance, coordinatewise
         assert not rel_close(observed, expected, 1e-9)
 
+    def test_pareto_witness_shrinks_its_moves_in_chain_order(self):
+        # Move amounts are bisected first to last, each against the moves
+        # already shrunk; another order stops at another witness.  Pinned
+        # as the shrinker reaches it.
+        rep = check_pareto(leaky_rule(), TrialConfig(seed=7, trials=200))
+        small = shrink(rep, leaky_rule())
+        moves = small.witness.inputs["moves"]
+        assert small.witness.inputs["start"] == [1.0, 1.0] and len(moves) == 32
+        assert [(k, move) for k, move in enumerate(moves) if move[2] != 0.0] == [
+            (25, [0, 1, 4180.128450277834]), (27, [1, 0, 7.770526779663888e-07]),
+            (28, [1, 0, 5.9931367655224074e-05]), (30, [0, 1, 816.3504366894954])]
+        # The original report's witness is left as it was.
+        assert rep.witness.inputs["moves"] != moves and not rep.shrunk
+
     def test_shrink_is_deterministic(self):
         rep = check_validity_invariance(constant_sum(), TrialConfig(seed=7, trials=100))
         a = report_to_dict(shrink(rep, constant_sum()))

@@ -103,6 +103,21 @@ class TestSampleOrbit:
         with pytest.raises(UsageError):
             sample_orbit(wgm(0.5), as_reserves([1.0, 1.0]), count=3, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 7, 1.5, True, "7"])
+    def test_rejects_seeds_outside_64_bits(self, seed):
+        # 2**64 used to wrap onto seed 0's orbit, and 1.5 raised TypeError.
+        with pytest.raises(ConfigError, match="^seed must"):
+            sample_orbit(wgm(0.5), [1.0, 1.0], 16, seed=seed)
+
+    def test_seed_range_ends_are_accepted(self):
+        top = sample_orbit(wgm(0.5), [1.0, 1.0], 16, seed=2**64 - 1)
+        assert top.seed == 2**64 - 1 and len(top.states) == 17
+
+    @pytest.mark.parametrize("count", [16.0, True, "16", None])
+    def test_rejects_non_integer_counts(self, count):
+        with pytest.raises(ConfigError, match="^count must be an integer"):
+            sample_orbit(wgm(0.5), [1.0, 1.0], count, seed=0)
+
     def test_boundary_hit_reports_partial(self):
         with pytest.raises(SamplingError) as err:
             sample_orbit(constant_sum(), as_reserves([1.0, 1.0]), count=64, seed=0)
@@ -196,6 +211,12 @@ class TestWeightFromSlope:
 
     def test_rejects_degenerate_magnitudes(self):
         for bad in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                weight_from_slope(bad)
+
+    def test_takes_numpy_reals_and_refuses_bools(self):
+        assert weight_from_slope(np.float32(4.0)) == weight_from_slope(4.0)
+        for bad in (True, False):
             with pytest.raises(DomainError):
                 weight_from_slope(bad)
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, payload schemas, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -244,6 +245,43 @@ class TestDeterminism:
         rc2, p2 = run(argv, tmp_path, "second")
         assert rc1 == rc2
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestStdoutWriteFailure:
+    # A failed write to stdout is refused like a failed --output write:
+    # exit 2 and one error line, not a traceback, not the exit code of a
+    # failed check, and not 120 from the interpreter's own flush at exit.
+    ARGV = [sys.executable, "-m", "ammorbit.cli", "orbit-export", "--rule", "wgm:0.5"]
+
+    @staticmethod
+    def env(buffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        return env if buffered else {**env, "PYTHONUNBUFFERED": "1"}
+
+    @pytest.mark.parametrize("buffered", [True, False])
+    def test_closed_pipe_exits_two(self, buffered):
+        # Far more than a pipe holds, so the writes hit the closed end.
+        proc = subprocess.Popen(self.ARGV + ["--samples", "20000"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=self.env(buffered))
+        assert proc.stdout.read(10) == b"x1,x2,u1,u"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 2
+        assert err.startswith("error: cannot write stdout: ") and err.count("\n") == 1, err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("buffered", [True, False])
+    @pytest.mark.parametrize("samples", ["16", "20000"])
+    def test_full_device_exits_two(self, samples, buffered):
+        # Buffered, 16 samples fit in the stream's buffer and fail only when flushed.
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(self.ARGV + ["--samples", samples], stdout=full,
+                                  stderr=subprocess.PIPE, text=True, timeout=120,
+                                  env=self.env(buffered))
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestProcessEntryPoint:

@@ -56,9 +56,29 @@ class TestFeeSwap:
 
     def test_rejects_bad_fee(self):
         s = as_reserves([1.0, 1.0])
-        for bad in (1.0, 1.5, -0.003, float("nan")):
+        for bad in (1.0, 1.5, -0.003, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
                 fee_swap(product(), s, 0, 1, 1.0, bad)
+
+
+class TestFeePolicy:
+    # A fee is any real number in [0, 1), numpy's included, but no bool.
+    def test_numpy_fee_is_its_float_value(self):
+        s = as_reserves([3.0, 5.0])
+        fee = np.float32(0.003)
+        assert fee_swap(product(), s, 0, 1, 1.0, fee).tobytes() == fee_swap(
+            product(), s, 0, 1, 1.0, float(fee)).tobytes()
+        drift = fee_drift(product(), s, [(0, 1, 1.0), (1, 0, 0.5)], fee)
+        assert drift.fee == float(fee)
+        plain = fee_drift(product(), s, [(0, 1, 1.0), (1, 0, 0.5)], float(fee))
+        assert np.stack(drift.states).tobytes() == np.stack(plain.states).tobytes()
+
+    @pytest.mark.parametrize("bad", [False, True, "0.003", None])
+    def test_bool_and_non_number_fees_are_refused(self, bad):
+        with pytest.raises(ConfigError, match="^fee must be a real number"):
+            fee_swap(product(), [1.0, 1.0], 0, 1, 1.0, bad)
+        with pytest.raises(ConfigError, match="^fee must be a real number"):
+            fee_drift(product(), [1.0, 1.0], [(0, 1, 1.0)], bad)
 
 
 class TestDecomposition:

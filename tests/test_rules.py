@@ -307,8 +307,15 @@ class TestRuleConstruction:
         assert a[0] == b[0] and a[1] == b[1]
 
     def test_wgm_rejects_out_of_range_weight(self):
-        for bad in (0.0, 1.0, 1.2, -0.1, float("nan")):
+        for bad in (0.0, 1.0, 1.2, -0.1, float("nan"), float("inf")):
             with pytest.raises(ConfigError):
+                wgm(bad)
+
+    def test_wgm_takes_numpy_reals_and_refuses_bools(self):
+        assert wgm(np.float32(0.25)).name == "wgm:0.25"
+        assert wgm(np.float64(0.25)).name == "wgm:0.25"
+        for bad in (True, False, "0.25", None):
+            with pytest.raises(ConfigError, match="^wgm weight must be a real number"):
                 wgm(bad)
 
     def test_weighted_product_rejects_bad_weights(self):

@@ -1,11 +1,10 @@
 """The walker against a reference oracle.
 
-reference_walk is the per-step walker that every walk used before the
-float step: each move goes through fee_swap (swap() when the fee is 0),
-with swap()'s checks, and the walk ends at the first step that raises or
-leaves the domain.  _walk must match it on the states' bytes, the pinned
-moves, and the failure's type and message or exit state, whichever step
-it takes.
+reference_walk is a per-step walker written out here from the rule's
+swap_in and domain: swap()'s move checks, the kernel call with its
+zero-amount shortcut, error wrap and finite check, fee_swap's fee leg,
+and the domain test.  _walk must match it on the states' bytes, the
+pinned moves, and the failure's type and message or exit state.
 """
 
 import functools
@@ -17,15 +16,50 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ammorbit import (AmmError, ChainError, InternalError, UsageError, chain, constant_sum,
-                      fee_drift, parse_rule, product, sample_orbit, weighted_product, wgm)
+from ammorbit import (AmmError, ChainError, InternalError, MalformedInputError, NumericError,
+                      UsageError, chain, constant_sum, fee_drift, parse_rule, product,
+                      sample_orbit, weighted_product, wgm)
 from ammorbit import cli
-from ammorbit.fees import fee_swap
-from ammorbit.rules import _check_state, _float_step, _walk, is_valid
+from ammorbit.fees import _fold, fee_swap
+from ammorbit.rules import _check_move, _check_state, _walk, is_valid
+from ammorbit.state import _freeze
+
+
+def reference_step(rule, s, i, j, amount, fee):
+    """The post-trade state of a checked state s, as a read-only array."""
+    _check_move(rule.dimension, i, j, amount)
+    priced = (1.0 - fee) * amount if fee else amount
+    out = s
+    if priced != 0.0:
+        where = f"at {s.tolist()}, pair ({i}, {j}), amount {priced!r}"
+        try:
+            out = np.asarray(rule.swap_in(s, i, j, float(priced)), dtype=float)
+        except AmmError:
+            raise
+        except Exception as exc:
+            raise NumericError(
+                f"rule {rule.name!r} raised {type(exc).__name__} {where}: {exc}") from exc
+        if not np.isfinite(out).all():
+            raise NumericError(f"rule {rule.name!r} produced a non-finite result {where}")
+    if fee:
+        # Bank the full amount in reserve i; pay out of j what the priced trade does.
+        paid_out = float(s[j]) - float(out[j])
+        out = s.copy()
+        out[i] = float(s[i]) + float(amount)
+        out[j] = float(s[j]) - paid_out
+    return _freeze(np.array(out))
+
+
+def in_domain(rule, s):
+    # The default domain is the positive orthant; is_valid raises on an
+    # infinite coordinate rather than answering.
+    if rule.domain is is_valid:
+        return bool(np.all((s > 0.0) & (s < math.inf)))
+    return rule.domain(s)
 
 
 def reference_walk(rule, s0, moves, relative=False, fee=0.0):
-    """(states, pinned moves, failure) as the per-step walker returned them."""
+    """(states, pinned moves, failure): the walk one reference_step at a time."""
     current = _check_state(rule, s0)
     if relative:
         moves = zip(*moves)
@@ -34,10 +68,11 @@ def reference_walk(rule, s0, moves, relative=False, fee=0.0):
         amount = float(x * current[i]) if relative else x
         pinned.append((i, j, amount))
         try:
-            current = fee_swap(rule, current, i, j, amount, fee)
+            current = reference_step(rule, current, i, j, amount, fee)
+            inside = in_domain(rule, current)
         except AmmError as exc:
             return states, pinned, exc
-        if not rule.domain(current):
+        if not inside:
             return states, pinned, current
         states.append(current)
     return states, pinned, None
@@ -157,32 +192,54 @@ def test_three_token_fee_walk_exits_on_a_zero_reserve():
     assert walk.failure.tolist() == [0.0, 6.632243107104603e-64, 1.2196228189196703e+169]
 
 
-def test_wrapped_swap_in_and_custom_domain_take_the_validating_step():
+def test_fee_leg_overflow_ends_the_walk_on_its_non_finite_state():
+    # The priced trade is finite, but banking the full amount overflows
+    # reserve i: the walk must stop there, not trade on from inf.
+    assert fee_swap(wgm(0.5), [1e308, 1.0], 0, 1, 8e307, 0.5).tolist() == [
+        math.inf, 0.7142857142857606]
+    for rule in (wgm(0.5), parse_rule("wprod:0.2,0.3,0.5")):
+        start = [1e308] + [1.0] * (rule.dimension - 1)
+        for relative, trades in ((False, [(0, 1, 8e307), (0, 1, 1.0)]),
+                                 (True, ([0, 0], [1, 1], [0.8, 0.1]))):
+            walk = assert_walks_match(rule, start, trades, relative, 0.5)
+            assert len(walk.states) == 1 and walk.failure[0] == math.inf
+            with pytest.raises(MalformedInputError,
+                               match=r"^non-finite reserve coordinate in \[inf, "):
+                if relative:
+                    _fold(rule, start, trades, 0.5, relative=True)
+                else:
+                    fee_drift(rule, start, trades, 0.5)
+
+
+@pytest.mark.parametrize("fee", [0.0, 0.003])
+def test_wrapped_swap_in_and_custom_domain_are_called_on_every_step(fee):
     rule = wgm(0.3)
     calls = []
 
     @functools.wraps(rule.swap_in)
-    def wrapped(*args):
+    def wrapped(s, *args):
+        assert not s.flags.writeable
         calls.append(args)
-        return rule.swap_in(*args)
+        return rule.swap_in(s, *args)
 
     domain_calls = []
 
     def domain(s):
-        domain_calls.append(s)
+        assert not s.flags.writeable
+        domain_calls.append(s.tolist())
         return is_valid(s)
 
-    assert _float_step(rule, 0.0) is not None
-    assert _float_step(replace(rule, name="renamed"), 0.0) is not None
-    rng = np.random.default_rng(14)
-    moves = drawn_moves(rng, 2, 50)
-    for variant, counter in ((replace(rule, swap_in=wrapped), calls),
-                             (replace(rule, domain=domain), domain_calls)):
-        assert _float_step(variant, 0.0) is None
-        assert_walks_match(variant, [1.0, 2.0], moves, True)
+    moves = caller_moves(np.random.default_rng(14), 2, 50, 0.5)
+    nonzero = sum(1 for move in moves if move[2] != 0.0)
+    for variant, counter, expected in ((replace(rule, swap_in=wrapped), calls, nonzero),
+                                       (replace(rule, domain=domain), domain_calls, 51)):
+        walk = assert_walks_match(variant, [1.0, 2.0], moves, False, fee)
+        assert walk.failure is None and len(walk.states) == 51
         before = len(counter)
-        _walk(variant, [1.0, 2.0], moves, relative=True)
-        assert len(counter) - before >= 50
+        _walk(variant, [1.0, 2.0], moves, False, fee)
+        # The domain is also asked about the start, once.
+        assert len(counter) - before == expected
+    assert domain_calls[-50:] == walk.states[1:].tolist()
 
 
 def test_drawn_moves_are_checked_once_as_arrays():
