@@ -80,7 +80,6 @@ from .state import (
     log_map,
     pareto_geq,
     rel_close,
-    rel_dist,
     require_valid,
     scale,
     weighted_gmean,
@@ -101,7 +100,7 @@ __all__ = [
     "decompose_check", "drift_to_csv", "exp_map", "fee_drift", "fee_swap",
     "fit_log_hyperplane", "fit_log_line", "is_valid", "log_map", "make_rule",
     "orbit_to_csv", "out_amount", "pareto_geq", "parse_rule", "product",
-    "rel_close", "rel_dist", "report_to_dict", "require_valid", "sample_orbit", "scale",
+    "rel_close", "report_to_dict", "require_valid", "sample_orbit", "scale",
     "scaling_factor", "shrink", "swap", "verify_level_sets", "weight_from_slope",
     "weighted_gmean", "weighted_product", "wgm",
 ]

@@ -150,9 +150,8 @@ def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
 
 def _violates_pareto(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
     expected = "no coordinate-wise dominance between states on one chain"
-    moves = ((int(i), int(j), float(amount)) for i, j, amount in inputs["moves"])
     try:
-        walk = _walk(rule, inputs["start"], moves)
+        walk = _walk(rule, inputs["start"], inputs["moves"])
     except AmmError as exc:
         return True, f"error at step 1: {exc}", expected
     return (*_pareto_verdict(walk), expected)

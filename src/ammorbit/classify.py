@@ -25,7 +25,7 @@ from .errors import (
     SamplingError,
     UsageError,
     VerticalFitError,
-    is_real,
+    read_float,
     require_integer,
     require_range,
     require_real,
@@ -227,11 +227,11 @@ def fit_log_line(sample: OrbitSample) -> LineFit:
 
 def weight_from_slope(slope_magnitude: float) -> float:
     """Map the line's downhill rate c to the invariant weight c / (1 + c)."""
-    if not (is_real(slope_magnitude) and math.isfinite(slope_magnitude)):
+    c = read_float(slope_magnitude)
+    if not math.isfinite(c):
         raise DomainError(f"slope magnitude must be finite, got {slope_magnitude!r}")
-    if slope_magnitude <= 0.0:
+    if c <= 0.0:
         raise DomainError(f"slope magnitude must be positive, got {slope_magnitude!r}")
-    c = float(slope_magnitude)
     return c / (1.0 + c)
 
 
@@ -368,11 +368,7 @@ def fit_log_hyperplane(sample: OrbitSample) -> HyperplaneFit:
     weights = normal / total
     offset = float(np.dot(normal, mean))
     residual = float(np.max(np.abs(centered @ normal)))
-    out_normal = normal.copy()
-    out_normal.flags.writeable = False
-    out_weights = weights.copy()
-    out_weights.flags.writeable = False
-    return HyperplaneFit(normal=out_normal, offset=offset, weights=out_weights,
+    return HyperplaneFit(normal=_freeze(normal.copy()), offset=offset, weights=_freeze(weights),
                          residual=residual)
 
 

@@ -16,12 +16,10 @@ spec_version format field.
 from __future__ import annotations
 
 import argparse
-import math
+import json
 import os
 import sys
 from contextlib import nullcontext
-from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,7 +31,7 @@ from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageEr
 from .fees import _drift_csv, _fold
 from .rand import trial_draws
 from .rules import parse_rule
-from .state import _BLOCK
+from .state import _row_blocks
 
 SPEC_VERSION = "1.0"
 
@@ -109,70 +107,40 @@ class _Rows(tuple):
 
 
 def _json_payload(payload: dict) -> Iterator[str]:
-    """The text of json.dumps(payload, indent=2, allow_nan=False) and a
-    newline, in blocks of at most _BLOCK rows, each formatted as it is read.
+    """The text of json.dumps(payload, indent=2, allow_nan=False) and a newline.
+    Tables (each a _Rows or a 1-D array) must be the last keys: json.dumps writes
+    the rest, then the tables follow in blocks of rows formatted as they are read.
     A NaN or an infinity anywhere raises here, before the first block."""
-    if not _finite(payload):
-        raise InternalError("payload is not strict JSON: it holds a NaN or an infinity")
-    return chain(_json(payload, "\n"), ["\n"])
+    is_table = [isinstance(value, (_Rows, np.ndarray)) for value in payload.values()]
+    if is_table != sorted(is_table):
+        raise InternalError(f"payload tables must follow its other keys: {list(payload)}")
+    items = list(payload.items())
+    rest = dict(items[:is_table.count(False)])
+    tables = [(key, table if isinstance(table, _Rows) else (table,), isinstance(table, _Rows))
+              for key, table in items[len(rest):]]
+    if not all(np.isfinite(column).all() for _, columns, _ in tables for column in columns):
+        raise InternalError("payload is not strict JSON: a table holds a NaN or an infinity")
+    try:
+        text = json.dumps(rest, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InternalError(f"payload is not strict JSON: {exc}") from exc
+    except TypeError as exc:
+        raise InternalError(f"payload is not JSON: {exc}") from exc
+    return _tables(text, tables) if tables else iter([text, "\n"])
 
 
-def _finite(value) -> bool:
-    """False if a float anywhere in value is NaN or infinite."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, _Rows):
-        return all(bool(np.isfinite(column).all()) for column in value)
-    if isinstance(value, dict):
-        value = list(value.values())
-    if not isinstance(value, (list, tuple)):
-        return True
-    return all(map(math.isfinite if set(map(type, value)) == {float} else _finite, value))
-
-
-def _json(value, nl: str) -> Iterator[str]:
-    """Pieces of json.dumps(value, indent=2) for a value whose line starts
-    with nl, a newline and its indentation."""
-    if not isinstance(value, (dict, list, tuple)):
-        yield _scalar(value)
-        return
-    brackets = "{}" if isinstance(value, dict) else "[]"
-    if not (len(value[0]) if isinstance(value, _Rows) else len(value)):
-        yield brackets
-        return
-    inner = nl + "  "
-    heads = chain([brackets[0] + inner], repeat("," + inner))
-    if isinstance(value, _Rows):
-        # One %-format per block of rows, as state._csv does.
-        row = "[" + inner + "  " + ("," + inner + "  ").join(["%r"] * len(value)) + inner + "]"
-        for lo in range(0, len(value[0]), _BLOCK):
-            cells = [column[lo:lo + _BLOCK].tolist() for column in value]
-            rows = ("," + inner).join([row] * len(cells[0]))
-            yield next(heads) + rows % tuple(chain.from_iterable(zip(*cells)))
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            yield next(heads) + encode_basestring_ascii(key) + ": "
-            yield from _json(item, inner)
-    elif set(map(type, value)) <= {int, float}:
-        for lo in range(0, len(value), _BLOCK):
-            yield next(heads) + ("," + inner).join(map(repr, value[lo:lo + _BLOCK]))
-    else:
-        for item in value:
-            yield next(heads)
-            yield from _json(item, inner)
-    yield nl + brackets[1]
-
-
-def _scalar(value) -> str:
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None or isinstance(value, bool):
-        return "null" if value is None else "true" if value else "false"
-    if isinstance(value, float):
-        return float.__repr__(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    raise InternalError(f"payload is not JSON: {type(value).__name__} {value!r}")
+def _tables(text: str, tables: list) -> Iterator[str]:
+    """text, the json.dumps(..., indent=2) of a dict, with tables (key,
+    columns, whether each row is a list) as its last keys, and a newline."""
+    yield "{" if text == "{}" else text[:-2] + ","
+    for k, (key, columns, lists) in enumerate(tables):
+        yield f'{"," if k else ""}\n  {json.dumps(key)}: [' + ("\n    " if len(columns[0]) else "]")
+        if len(columns[0]):
+            cells = ",\n      ".join(["%r"] * len(columns))
+            yield from _row_blocks("[\n      " + cells + "\n    ]" if lists else cells, ",\n    ",
+                                   columns)
+            yield "\n  ]"
+    yield "\n}\n"
 
 
 def _parse_start(raw: str | None, dimension: int) -> list[float]:
@@ -267,7 +235,7 @@ def _cmd_simulate_fees(args) -> int:
             "seed": int(args.seed),
             "trades": _Rows(map(np.asarray, walk.tried)),
             "states": _Rows(walk.states.T),
-            "invariant_values": series.invariant_values,
+            "invariant_values": np.array(series.invariant_values),
         }
         _emit(_json_payload(payload), args.output)
     return 0

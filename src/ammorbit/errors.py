@@ -2,8 +2,8 @@
 
 Every error raised on purpose derives from AmmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
-require_integer, require_seed, require_real (over is_real) and
-require_range are the shared checks of config objects and scalar arguments.
+require_integer, require_seed, require_real (over is_real), require_range and
+the number reader read_float are shared by config objects and scalar arguments.
 """
 
 from __future__ import annotations
@@ -56,15 +56,22 @@ def require_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
+def read_float(value) -> float:
+    """value as a float: NaN if it is not a real number (a bool is not one),
+    and an infinity if it is an int beyond float range."""
+    try:
+        return float(value) if is_real(value) else math.nan
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def require_range(name: str, value) -> None:
     """Raise ConfigError unless value is a pair of reals (lo, hi), 0 < lo <= hi < inf."""
     try:
         lo, hi = value
     except (TypeError, ValueError):
         raise ConfigError(f"{name} must be a pair (lo, hi), got {value!r}") from None
-    require_real(name, lo)
-    require_real(name, hi)
-    if not (0.0 < lo <= hi < math.inf):
+    if not (0.0 < read_float(lo) <= read_float(hi) < math.inf):
         raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got ({lo!r}, {hi!r})")
 
 

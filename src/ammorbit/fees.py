@@ -15,9 +15,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import AmmError, ConfigError, UsageError, require_real
-from .rules import Move, SwapRule, _check_state, _swap, _Walk, _walk, swap
-from .state import _csv, as_reserves, as_weights, rel_close
+from .errors import AmmError, ConfigError, DomainError, UsageError, require_real
+from .rules import Move, SwapRule, _check_move, _check_state, _swap, _Walk, _walk, swap
+from .state import _csv, _factors, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
@@ -64,7 +64,8 @@ class FeeDecomposition:
 def decompose_check(rule: SwapRule, s, i: int, j: int, amount: float, fee: float) -> FeeDecomposition:
     """Compare the fee trade against its two-step decompositions."""
     fee = _check_fee(fee)
-    a = as_reserves(s)
+    a = _check_state(rule, s)
+    _check_move(a.size, i, j, amount)
     effective = (1.0 - fee) * amount
     held_back = fee * amount
 
@@ -119,7 +120,6 @@ def fee_drift(rule: SwapRule, s0, trades: Sequence[Move], fee: float) -> DriftSe
     The series includes the starting state, so it has len(trades) + 1
     entries.  The rule must declare a weight vector.
     """
-    trades = ((int(i), int(j), float(amount)) for i, j, amount in trades)
     return _fold(rule, s0, trades, fee)[0]
 
 
@@ -147,11 +147,10 @@ def _fold(rule: SwapRule, s0, trades, fee: float,
 def scaling_factor(weights, factors) -> float:
     """Factor by which per-token rescaling moves the invariant: prod f_i**w_i."""
     w = as_weights(weights)
-    f = np.asarray(factors, dtype=float)
-    if f.shape != w.shape:
-        raise UsageError(f"factor dimension {f.shape} does not match weights {w.shape}")
-    if not np.all(np.isfinite(f)) or not np.all(f > 0.0):
-        raise ConfigError(f"scale factors must be positive and finite, got {f.tolist()}")
+    try:
+        f = _factors(factors, w.shape)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     return float(math.exp(float(np.dot(w, np.log(f)))))
 
 

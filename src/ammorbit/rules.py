@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (AmmError, ChainError, ConfigError, DomainError, InternalError,
-                     MalformedInputError, NumericError, UsageError, is_real, require_real)
+                     MalformedInputError, NumericError, UsageError, read_float, require_real)
 from .state import _freeze, _positive, as_reserves, as_weights, is_valid, weighted_gmean
 
 Move = tuple[int, int, float]
@@ -243,7 +243,7 @@ def _check_state(rule: SwapRule, s) -> np.ndarray:
 def _check_move(n: int, i, j, amount) -> None:
     if not (_is_index(i) and _is_index(j) and i != j and 0 <= i < n and 0 <= j < n):
         raise UsageError(f"bad token pair ({i}, {j}) for dimension {n}")
-    if not (is_real(amount) and math.isfinite(amount)):
+    if not math.isfinite(read_float(amount)):
         raise UsageError(f"amount must be a finite number, got {amount!r}")
     if amount < 0.0:
         raise UsageError(f"amount must be nonnegative, got {amount!r}")
@@ -367,7 +367,12 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
     current = start.tolist()
     states = current.copy()
     failure = None
-    for i, j, x in moves:
+    for move in moves:
+        try:
+            i, j, x = move
+        except (TypeError, ValueError):
+            failure = UsageError(f"a move is three values (i, j, amount), got {move!r}")
+            break
         if relative:
             amount = x * current[i]
         else:

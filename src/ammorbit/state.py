@@ -10,6 +10,7 @@ immutable values.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -30,21 +31,27 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _vector(values, name: str, entry: str) -> np.ndarray:
+    """values as a read-only float vector of >= 2 finite entries; anything
+    else, an int beyond float range included, raises MalformedInputError."""
+    try:
+        a = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"{name} must be numeric: {exc}") from exc
+    if a.ndim != 1 or a.size < 2:
+        raise MalformedInputError(f"{name} must be a vector of >= 2 floats, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise MalformedInputError(f"non-finite {entry} in {a.tolist()}")
+    return _freeze(a)
+
+
 def as_reserves(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Coerce to a float reserve vector.
 
     Rejects NaN/inf coordinates and dimensions below 2.  Does NOT check
     positivity; use is_valid for that.
     """
-    try:
-        a = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInputError(f"reserves must be numeric: {exc}") from exc
-    if a.ndim != 1 or a.size < 2:
-        raise MalformedInputError(f"reserves must be a vector of >= 2 floats, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise MalformedInputError(f"non-finite reserve coordinate in {a.tolist()}")
-    return _freeze(a.copy())
+    return _vector(values, "reserves", "reserve coordinate")
 
 
 def _positive(a: np.ndarray) -> bool:
@@ -73,9 +80,7 @@ def log_map(s) -> np.ndarray:
 
 def exp_map(z) -> np.ndarray:
     """Inverse of log_map; any finite log point maps to a valid state."""
-    a = np.asarray(z, dtype=float)
-    if a.ndim != 1 or a.size < 2 or not np.all(np.isfinite(a)):
-        raise MalformedInputError(f"log point must be a finite vector of >= 2 floats, got {a!r}")
+    a = _vector(z, "log point", "log point coordinate")
     with np.errstate(over="ignore"):
         out = np.exp(a)
     if not np.all(np.isfinite(out)):
@@ -86,12 +91,21 @@ def exp_map(z) -> np.ndarray:
 def scale(s, factors) -> np.ndarray:
     """Rescale each reserve by a positive per-token factor (a change of units)."""
     a = require_valid(s)
-    f = np.asarray(factors, dtype=float)
-    if f.shape != a.shape:
-        raise UsageError(f"factor dimension {f.shape} does not match state dimension {a.shape}")
+    return _freeze(a * _factors(factors, a.shape))
+
+
+def _factors(factors, shape: tuple) -> np.ndarray:
+    """Per-token scale factors as floats: UsageError unless they have the
+    given shape, DomainError unless each is finite and positive."""
+    try:
+        f = np.asarray(factors, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"scale factors must be positive and finite, got {factors!r}") from exc
+    if f.shape != shape:
+        raise UsageError(f"factor dimension {f.shape} does not match dimension {shape}")
     if not np.all(np.isfinite(f)) or not np.all(f > 0.0):
         raise DomainError(f"scale factors must be positive and finite, got {f.tolist()}")
-    return _freeze(a * f)
+    return f
 
 
 def pareto_geq(t, s) -> bool:
@@ -105,17 +119,13 @@ def pareto_geq(t, s) -> bool:
 
 def as_weights(values: Sequence[float] | np.ndarray) -> np.ndarray:
     """Validate a weight vector: each in (0, 1), summing to 1 within 1e-12."""
-    w = np.asarray(values, dtype=float)
-    if w.ndim != 1 or w.size < 2:
-        raise MalformedInputError(f"weights must be a vector of >= 2 floats, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise MalformedInputError(f"non-finite weight in {w.tolist()}")
+    w = _vector(values, "weights", "weight")
     if not np.all((w > 0.0) & (w < 1.0)):
         raise DomainError(f"every weight must lie strictly in (0, 1), got {w.tolist()}")
     total = float(np.sum(w))
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         raise DomainError(f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got sum {total!r}")
-    return _freeze(w.copy())
+    return w
 
 
 def weighted_gmean(s, weights) -> float:
@@ -142,23 +152,21 @@ def rel_close(a, b, tol: float = REL_TOL) -> bool:
     return bool(np.all(np.abs(aa - bb) <= tol * scale_ref))
 
 
-def rel_dist(a, b) -> float:
-    """Largest coordinate-wise relative difference between two vectors."""
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
-    scale_ref = np.maximum(np.abs(aa), np.abs(bb))
-    scale_ref = np.where(scale_ref == 0.0, 1.0, scale_ref)
-    return float(np.max(np.abs(aa - bb) / scale_ref))
-
-
 def _csv(header: str, *columns) -> Iterator[str]:
     """header, then one line of '%.17g' cells per row, in blocks of _BLOCK
-    rows.  A column holds one number, or one vector of them, per row; the
-    header names one cell per comma-separated field."""
+    rows; the header names one cell per comma-separated field."""
+    yield header + "\n"
+    yield from _row_blocks(",".join(["%.17g"] * (header.count(",") + 1)) + "\n", "", columns)
+
+
+def _row_blocks(row: str, sep: str, columns) -> Iterator[str]:
+    """row % the cells of each row of columns, rows joined by sep, in blocks of
+    _BLOCK rows, each but the first starting with sep.  A column holds one
+    number or one vector per row; cells keep their types, so ints stay ints."""
     # A block of rows per %-format: one call per cell is slower, and one
     # for the whole table holds more memory.
-    row = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    yield header + "\n"
     for start in range(0, len(columns[0]), _BLOCK):
-        block = np.column_stack([np.asarray(c[start:start + _BLOCK], float) for c in columns])
-        yield row * len(block) % tuple(block.ravel().tolist())
+        blocks = [np.asarray(c[start:start + _BLOCK]) for c in columns]
+        cells = [cell for b in blocks for cell in b.reshape(len(b), -1).T.tolist()]
+        rows = sep.join([row] * len(blocks[0])) % tuple(chain.from_iterable(zip(*cells)))
+        yield sep + rows if start else rows

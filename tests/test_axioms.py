@@ -217,6 +217,14 @@ class TestBrokenRuleDetection:
         assert list(states[pair["dominating_index"]]) == pair["dominating"]
         assert list(states[pair["dominated_index"]]) == pair["dominated"]
 
+    @pytest.mark.parametrize("move", [[0.7, 1, 0.5], [True, 0, 0.5], [0, 1]], ids=repr)
+    def test_pareto_replay_checks_caller_moves(self, move):
+        # A witness's moves are caller moves: swap()'s checks, not casts.
+        violated, observed, _ = axioms._violates_pareto(
+            product(), {"start": [1.0, 1.0], "moves": [[0, 1, 0.5], move]}, 1e-9)
+        assert violated
+        assert observed.startswith("error at step 2: ")
+
     def test_rule_crash_counts_as_failure(self):
         rep = check_validity_invariance(crashing_rule(), TrialConfig(seed=7, trials=50))
         assert not rep.passed

@@ -1,5 +1,6 @@
 """Error contract of the library source: every error raised on purpose is
-an AmmError, and no check is an assert that vanishes under python -O."""
+an AmmError, no check is an assert that vanishes under python -O, and
+malformed caller input raises its AmmError subclass."""
 
 import ast
 import builtins
@@ -9,7 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from ammorbit import AmmError
+from ammorbit import (AmmError, ConfigError, DomainError, MalformedInputError, OrbitConfig,
+                      RuleSpec, TrialConfig, UsageError, as_reserves, as_weights, chain,
+                      check_slices, decompose_check, exp_map, fee_drift, fee_swap, make_rule,
+                      out_amount, pareto_geq, product, scale, scaling_factor, swap,
+                      weight_from_slope, weighted_gmean, weighted_product)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -37,3 +42,53 @@ def test_every_raise_is_an_amm_error_and_no_assert(path):
             elif ast.unparse(node) not in RERAISES:
                 bad.append(f"line {node.lineno}: {ast.unparse(node)}")
     assert not bad, bad
+
+
+BIG = 10**400  # an int beyond float range
+WPROD = RuleSpec("wprod", weights=(0.2, 0.3, 0.5))
+
+# Caller input that once escaped as a raw TypeError, ValueError or
+# OverflowError, or passed unchecked, and the AmmError it must raise.
+MALFORMED = [
+    ("fee_drift float index", lambda: fee_drift(product(), [1, 1], [(0.7, 1, 1.0)], 0.0),
+     UsageError),
+    ("fee_drift bool index", lambda: fee_drift(product(), [1, 1], [(True, 0, 1.0)], 0.0),
+     UsageError),
+    ("fee_drift short move", lambda: fee_drift(product(), [1, 1], [(0, 1)], 0.0), UsageError),
+    ("chain short move", lambda: chain(product(), [1, 1], [(0, 1)]), UsageError),
+    ("swap big amount", lambda: swap(product(), [1, 1], 0, 1, BIG), UsageError),
+    ("chain big amount", lambda: chain(product(), [1, 1], [(0, 1, BIG)]), UsageError),
+    ("fee_swap big amount", lambda: fee_swap(product(), [1, 1], 0, 1, BIG, 0.003), UsageError),
+    ("fee_drift big amount", lambda: fee_drift(product(), [1, 1], [(0, 1, BIG)], 0.0),
+     UsageError),
+    ("out_amount big amount", lambda: out_amount(product(), [1, 1], 0, 1, BIG), UsageError),
+    ("weight_from_slope big", lambda: weight_from_slope(BIG), DomainError),
+    ("TrialConfig state_range", lambda: TrialConfig(state_range=(1e-6, BIG)), ConfigError),
+    ("TrialConfig amount_range", lambda: TrialConfig(amount_range=(1e-6, BIG)), ConfigError),
+    ("OrbitConfig amount_range", lambda: OrbitConfig(amount_range=(1e-6, BIG)), ConfigError),
+    ("decompose_check big amount",
+     lambda: decompose_check(product(), [1, 1], 0, 1, BIG, 0.003), UsageError),
+    ("decompose_check str amount",
+     lambda: decompose_check(product(), [1, 1], 0, 1, "x", 0.003), UsageError),
+    ("as_weights str", lambda: as_weights(["a", "b"]), MalformedInputError),
+    ("weighted_product str", lambda: weighted_product(["a", "b"]), MalformedInputError),
+    ("weighted_gmean str", lambda: weighted_gmean([1, 1], ["a", "b"]), MalformedInputError),
+    ("make_rule str weights", lambda: make_rule(RuleSpec("wprod", weights=("a", "b"))),
+     ConfigError),
+    ("scale str", lambda: scale([1, 1], ["a", "b"]), DomainError),
+    ("scaling_factor str", lambda: scaling_factor([0.5, 0.5], ["a", "b"]), ConfigError),
+    ("exp_map str", lambda: exp_map(["a", "b"]), MalformedInputError),
+    ("exp_map big", lambda: exp_map([BIG, 1]), MalformedInputError),
+    ("as_reserves big", lambda: as_reserves([BIG, 1]), MalformedInputError),
+    ("swap big reserve", lambda: swap(product(), [BIG, 1], 0, 1, 1.0), MalformedInputError),
+    ("pareto_geq big", lambda: pareto_geq([BIG, 1], [1, 1]), MalformedInputError),
+    ("check_slices big", lambda: check_slices(make_rule(WPROD), [BIG, 1, 1], OrbitConfig()),
+     MalformedInputError),
+]
+
+
+@pytest.mark.parametrize("call, error", [case[1:] for case in MALFORMED],
+                         ids=[case[0] for case in MALFORMED])
+def test_malformed_caller_input_raises_its_amm_error(call, error):
+    with pytest.raises(error):
+        call()

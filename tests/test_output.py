@@ -55,9 +55,11 @@ class TestJsonWriter:
         columns = [np.array(column, dtype=dtype) for column, dtype in
                    zip(zip(*table), (np.int64, np.int64, float))] if table else [
                        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0)]
-        payload = {"rows": cli._Rows(columns), "after": [1, 2.5]}
-        assert written(payload) == dumped({"rows": [list(row) for row in table],
-                                           "after": [1, 2.5]})
+        payload = {"before": [1, 2.5], "rows": cli._Rows(columns)}
+        assert written(payload) == dumped({"before": [1, 2.5],
+                                           "rows": [list(row) for row in table]})
+        with pytest.raises(InternalError, match="tables must follow"):
+            cli._json_payload({"rows": cli._Rows(columns), "after": [1, 2.5]})
 
     @pytest.mark.parametrize("count", [0, 1, 1023, 1024, 1025, 2500])
     def test_number_lists_across_blocks(self, count):
@@ -193,10 +195,10 @@ class TestBlocks:
     def test_json_row_blocks(self):
         _, (_, walk) = fee_walk("product", 2499, 5)
         blocks = list(cli._json_payload({"states": cli._Rows(walk.states.T)}))
-        # Blocks: the key, three of rows (each row closes on one "]"), then
-        # the closing "]" and "}", and the final newline.
-        assert [block.count("]") for block in blocks[1:-3]] == [1024, 1024, 452]
-        assert blocks[-3:] == ["\n  ]", "\n}", "\n"]
+        # Blocks: the opening "{", the key, three of rows (each row closes on
+        # one "]"), then the closing "]", and "}" with the final newline.
+        assert [block.count("]") for block in blocks[2:-2]] == [1024, 1024, 452]
+        assert blocks[-2:] == ["\n  ]", "\n}\n"]
 
 
 class TestOutputFile:
