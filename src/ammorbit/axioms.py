@@ -26,11 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (AmmError, ConfigError, InternalError, UsageError, require_integer,
-                     require_range, require_real, require_seed)
+from .errors import (AmmError, ConfigError, InternalError, UsageError, _require_tolerance,
+                     require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
 from .rules import SwapRule, _walk, _Walk, swap, swap_rows
-from .state import _positive, rel_close
+from .state import _close_rows, _factors, _positive, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
 # and domination needs at least one coordinate above it.
@@ -66,9 +66,7 @@ class TrialConfig:
             raise ConfigError(f"chain_length must be >= 1, got {self.chain_length}")
         for name in ("amount_range", "state_range"):
             require_range(name, getattr(self, name))
-        require_real("tolerance", self.tolerance)
-        if not (0.0 < self.tolerance < 1.0):
-            raise ConfigError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
+        _require_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -178,12 +176,10 @@ def _pareto_verdict(walk: _Walk) -> tuple[bool, object]:
 
 
 def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
-    s = np.asarray(inputs["state"], dtype=float)
-    f = np.asarray(inputs["factors"], dtype=float)
-    i = int(inputs["token_in"])
-    j = int(inputs["token_out"])
-    amount = float(inputs["amount"])
+    i, j, amount = inputs["token_in"], inputs["token_out"], inputs["amount"]
     try:
+        s = as_reserves(inputs["state"])
+        f = _factors(inputs["factors"], s.shape)
         rhs = swap(rule, s, i, j, amount) * f
         lhs = swap(rule, s * f, i, j, f[i] * amount)
     except AmmError as exc:
@@ -192,9 +188,9 @@ def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple
 
 
 def _violates_token_symmetry(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
-    s = np.asarray(inputs["state"], dtype=float)
-    amount = float(inputs["amount"])
+    amount = inputs["amount"]
     try:
+        s = as_reserves(inputs["state"])
         t = swap(rule, s, 0, 1, amount)
         mirrored = swap(rule, s[::-1], 1, 0, amount)
     except AmmError as exc:
@@ -220,7 +216,7 @@ _PREDICATES: dict[str, Callable[[SwapRule, dict, float], tuple[bool, object, obj
 def _draw_validity(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
     # Every fourth trial hugs the lower edge of state_range.
     s = _sample_state(draws, cfg, n, hug_boundary=(trials % 4 == 3))
-    i, j = draws.pair(n)
+    i, j = draws.pairs(n, 1)[:, :, 0]
     amount = _sample_amount(draws, cfg, s[np.arange(len(s)), i])
     return {"state": s, "token_in": i, "token_out": j, "amount": amount}
 
@@ -230,14 +226,13 @@ def _draw_chain(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> d
     # Fractions are drawn up front; each concrete amount is pinned to the
     # state reached so far, so the witness replays without the RNG.
     fractions = draws.log_uniform(cfg.amount_range[0], cfg.amount_range[1], cfg.chain_length)
-    raw = draws.integers([n, n - 1] * cfg.chain_length)
-    i, j = raw[:, 0::2], raw[:, 1::2]
-    return {"start": s, "token_in": i, "token_out": j + (j >= i), "fractions": fractions}
+    i, j = draws.pairs(n, cfg.chain_length)
+    return {"start": s, "token_in": i, "token_out": j, "fractions": fractions}
 
 
 def _draw_unit(draws: Draws, trials: np.ndarray, cfg: TrialConfig, n: int) -> dict:
     s = _sample_state(draws, cfg, n, hug_boundary=False)
-    i, j = draws.pair(n)
+    i, j = draws.pairs(n, 1)[:, :, 0]
     amount = _sample_amount(draws, cfg, s[np.arange(len(s)), i])
     factors = draws.log_uniform(cfg.state_range[0], cfg.state_range[1], n)
     return {"state": s, "factors": factors, "token_in": i, "token_out": j, "amount": amount}
@@ -259,11 +254,6 @@ def _trial(drawn: dict, k: int) -> dict:
 # a trial's verdict is the predicate's verdict.  A judge returns the
 # per-trial violation mask.
 
-def _rel_close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """rel_close on each pair of rows."""
-    return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=1)
-
-
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     out, ok = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
                         drawn["amount"])
@@ -275,7 +265,7 @@ def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
                           ("state", "factors", "token_in", "token_out", "amount"))
     rhs, ok = swap_rows(rule, s, i, j, amount)
     lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount)
-    return ~(ok & ok_scaled & _rel_close_rows(lhs, rhs * f, cfg.tolerance))
+    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance))
 
 
 def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
@@ -284,7 +274,7 @@ def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray
     second = first + 1
     t, ok = swap_rows(rule, s, first, second, amount)
     mirrored, ok_mirrored = swap_rows(rule, s[:, ::-1], second, first, amount)
-    return ~(ok & ok_mirrored & _rel_close_rows(mirrored, t[:, ::-1], cfg.tolerance))
+    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance))
 
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:

@@ -22,18 +22,19 @@ from .errors import (
     ConfigError,
     DegenerateSampleError,
     DomainError,
+    MalformedInputError,
     SamplingError,
     UsageError,
     VerticalFitError,
+    _require_tolerance,
     read_float,
     require_integer,
     require_range,
-    require_real,
     require_seed,
 )
 from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
-from .state import _csv, _freeze, require_valid
+from .state import _csv, _freeze, rel_close, require_valid
 
 # Log points closer than this are not distinct enough to anchor a fit.
 DISTINCT_EPS = 1e-10
@@ -65,9 +66,7 @@ class OrbitConfig:
         if self.samples < MIN_ORBIT_SAMPLES:
             raise ConfigError(f"samples must be >= {MIN_ORBIT_SAMPLES}, got {self.samples}")
         require_range("amount_range", self.amount_range)
-        require_real("tolerance", self.tolerance)
-        if not (0.0 < self.tolerance < 1.0):
-            raise ConfigError(f"tolerance must lie in (0, 1), got {self.tolerance!r}")
+        _require_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -188,6 +187,17 @@ def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, s
     return sample, walk.states
 
 
+def _cloud(sample: OrbitSample) -> np.ndarray:
+    """A sample's log points as floats: MalformedInputError unless all are finite numbers."""
+    try:
+        cloud = np.asarray(sample.log_points, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"log points must be numeric: {exc}") from exc
+    if not np.all(np.isfinite(cloud)):
+        raise MalformedInputError("log points must be finite; the cloud holds a NaN or an infinity")
+    return cloud
+
+
 def _require_spread(cloud: np.ndarray) -> None:
     # Row blocks against the whole cloud: the same distances as one
     # m x m tensor, in bounded memory, stopping at the first wide block.
@@ -206,7 +216,7 @@ def fit_log_line(sample: OrbitSample) -> LineFit:
     Total least squares: the line direction is the principal axis of the
     centered cloud, so both coordinates are treated symmetrically.
     """
-    cloud = np.asarray(sample.log_points, dtype=float)
+    cloud = _cloud(sample)
     if cloud.ndim != 2 or cloud.shape[1] != 2:
         raise UsageError(f"line fits need two-token samples, got shape {cloud.shape}")
     _require_spread(cloud)
@@ -235,7 +245,7 @@ def weight_from_slope(slope_magnitude: float) -> float:
     return c / (1.0 + c)
 
 
-def _pooled_slope(fits: list[LineFit]) -> float:
+def _pooled_slope(fits: list[OrbitFit]) -> float:
     # Orbits with larger residuals say less about the common slope.
     weights = np.array([1.0 / (fit.residual + 1e-300) for fit in fits])
     slopes = np.array([fit.slope for fit in fits])
@@ -258,33 +268,28 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
         raise UsageError("verify_level_sets handles two-token rules; "
                          "use fit_log_hyperplane for more tokens")
 
-    def fail(msg: str, orbits: list[OrbitFit]) -> ClassificationReport:
-        return ClassificationReport(rule=rule.name, orbits=tuple(orbits), pooled_slope=None,
+    # An orbit's invariant fields stay NaN until every orbit has a line.
+    fits: list[OrbitFit] = []
+    clouds: list[np.ndarray] = []
+
+    def fail(msg: str) -> ClassificationReport:
+        return ClassificationReport(rule=rule.name, orbits=tuple(fits), pooled_slope=None,
                                     weight_estimate=None, slope_spread=None, residual_max=None,
                                     verdict=False, failure=msg)
 
-    fits: list[LineFit] = []
-    samples: list[OrbitSample] = []
-    partial: list[OrbitFit] = []
     for k, start in enumerate(starts):
-        orbit_seed = (cfg.seed ^ k) & 0xFFFFFFFFFFFFFFFF
         try:
-            sample = _sample(rule, start, _orbit_directions(2), cfg.samples, orbit_seed,
+            sample = _sample(rule, start, _orbit_directions(2), cfg.samples, cfg.seed ^ k,
                              cfg.amount_range)[0]
             fit = fit_log_line(sample)
         except AmmError as exc:
-            return fail(f"orbit {k} (start {start.tolist()}): {exc}", partial)
+            return fail(f"orbit {k} (start {start.tolist()}): {exc}")
         if fit.slope >= 0.0:
-            return fail(
-                f"orbit {k} (start {start.tolist()}): slope {fit.slope!r} is not negative",
-                partial,
-            )
-        samples.append(sample)
-        fits.append(fit)
-        partial.append(OrbitFit(start=tuple(start.tolist()), seed=orbit_seed,
-                                slope=fit.slope, intercept=fit.intercept,
-                                residual=fit.residual, invariant_value=math.nan,
-                                invariant_spread=math.nan))
+            return fail(f"orbit {k} (start {start.tolist()}): slope {fit.slope!r} is not negative")
+        clouds.append(sample.log_points)
+        fits.append(OrbitFit(start=tuple(start.tolist()), seed=sample.seed, slope=fit.slope,
+                             intercept=fit.intercept, residual=fit.residual,
+                             invariant_value=math.nan, invariant_spread=math.nan))
 
     slopes = [fit.slope for fit in fits]
     spread = float(max(slopes) - min(slopes))
@@ -292,45 +297,29 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
     w_hat = weight_from_slope(-pooled)
     residual_max = float(max(fit.residual for fit in fits))
 
-    warnings: list[str] = []
-    orbit_fits: list[OrbitFit] = []
-    values: list[float] = []
-    for k, (sample, fit) in enumerate(zip(samples, fits)):
+    # A slope-spread failure is reported first, else the first orbit whose
+    # implied invariant varies by more than the tolerance.
+    failure = (f"slope spread {spread!r} exceeds tolerance {cfg.tolerance!r}"
+               if spread > cfg.tolerance else None)
+    for k, logs in enumerate(clouds):
         # Invariant implied by the pooled fit, evaluated along the orbit.
-        logs = np.asarray(sample.log_points)
         phi = np.exp(w_hat * logs[:, 0] + (1.0 - w_hat) * logs[:, 1])
         lo, hi = float(np.min(phi)), float(np.max(phi))
-        spread_k = (hi - lo) / hi
-        level = float(np.median(phi))
-        orbit_fits.append(OrbitFit(start=tuple(sample.start.tolist()), seed=sample.seed,
-                                   slope=fit.slope, intercept=fit.intercept,
-                                   residual=fit.residual, invariant_value=level,
-                                   invariant_spread=float(spread_k)))
-        values.append(level)
-
-    verdict = True
-    failure = None
-    if spread > cfg.tolerance:
-        verdict = False
-        failure = f"slope spread {spread!r} exceeds tolerance {cfg.tolerance!r}"
-    for k, fit in enumerate(orbit_fits):
-        if verdict and fit.invariant_spread > cfg.tolerance:
-            verdict = False
-            failure = (f"orbit {k}: implied invariant varies by {fit.invariant_spread!r} "
+        fits[k] = replace(fits[k], invariant_value=float(np.median(phi)),
+                          invariant_spread=(hi - lo) / hi)
+        if failure is None and fits[k].invariant_spread > cfg.tolerance:
+            failure = (f"orbit {k}: implied invariant varies by {fits[k].invariant_spread!r} "
                        f"(tolerance {cfg.tolerance!r})")
-    for a in range(len(values)):
-        for b in range(a + 1, len(values)):
-            ref = max(abs(values[a]), abs(values[b]))
-            if abs(values[a] - values[b]) <= cfg.tolerance * ref:
-                warnings.append(
-                    f"starts {a} and {b} lie on the same orbit "
-                    f"(invariant {values[a]!r}); treating them as one level"
-                )
+    values = [fit.invariant_value for fit in fits]
+    warnings = [f"starts {a} and {b} lie on the same orbit "
+                f"(invariant {values[a]!r}); treating them as one level"
+                for a in range(len(values)) for b in range(a + 1, len(values))
+                if rel_close(values[a], values[b], cfg.tolerance)]
 
-    return ClassificationReport(rule=rule.name, orbits=tuple(orbit_fits), pooled_slope=pooled,
+    return ClassificationReport(rule=rule.name, orbits=tuple(fits), pooled_slope=pooled,
                                 weight_estimate=w_hat, slope_spread=spread,
-                                residual_max=residual_max, verdict=verdict, failure=failure,
-                                warnings=tuple(warnings))
+                                residual_max=residual_max, verdict=failure is None,
+                                failure=failure, warnings=tuple(warnings))
 
 
 def fit_log_hyperplane(sample: OrbitSample) -> HyperplaneFit:
@@ -340,7 +329,7 @@ def fit_log_hyperplane(sample: OrbitSample) -> HyperplaneFit:
     sign-normalized to positive component sum.  A conforming rule yields
     an all-positive normal; weights are the normal rescaled to sum 1.
     """
-    cloud = np.asarray(sample.log_points, dtype=float)
+    cloud = _cloud(sample)
     if cloud.ndim != 2 or cloud.shape[1] < 2:
         raise UsageError(f"hyperplane fits need an (m, n>=2) cloud, got shape {cloud.shape}")
     n = cloud.shape[1]
@@ -388,12 +377,11 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
 
     n = rule.dimension
     slices: list[SliceFit] = []
-    verdict = True
     failure = None
     for i in range(n):
         for j in range(i + 1, n):
-            slice_seed = (cfg.seed ^ (i * n + j)) & 0xFFFFFFFFFFFFFFFF
-            others_fixed = False
+            slice_seed = cfg.seed ^ (i * n + j)
+            others_fixed, slope, residual = False, math.nan, math.nan
             try:
                 sample, cloud = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
                                         cfg.amount_range)
@@ -401,23 +389,20 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
                 others_fixed = bool(np.all(cloud[:, others] == point[others]))
                 fit = fit_log_line(replace(sample, log_points=np.log(cloud[:, (i, j)])))
             except AmmError as exc:
-                verdict = False
                 failure = failure or f"pair ({i}, {j}): {exc}"
-                slices.append(SliceFit(token_a=i, token_b=j, slope=math.nan,
-                                       residual=math.nan, others_fixed=others_fixed,
-                                       ok=False))
-                continue
-            ok = (fit.slope < 0.0 and fit.residual <= cfg.tolerance and others_fixed)
+            else:
+                slope, residual = fit.slope, fit.residual
+            # A slice that raised has NaN slope and residual, so it is not ok.
+            ok = (slope < 0.0 and residual <= cfg.tolerance and others_fixed)
             if not ok:
-                verdict = False
                 failure = failure or (
-                    f"pair ({i}, {j}): slope {fit.slope!r}, residual {fit.residual!r}, "
+                    f"pair ({i}, {j}): slope {slope!r}, residual {residual!r}, "
                     f"others_fixed {others_fixed}"
                 )
-            slices.append(SliceFit(token_a=i, token_b=j, slope=fit.slope,
-                                   residual=fit.residual, others_fixed=others_fixed, ok=ok))
+            slices.append(SliceFit(token_a=i, token_b=j, slope=slope,
+                                   residual=residual, others_fixed=others_fixed, ok=ok))
     return SliceReport(rule=rule.name, point=tuple(point.tolist()),
-                       slices=tuple(slices), verdict=verdict, failure=failure)
+                       slices=tuple(slices), verdict=failure is None, failure=failure)
 
 
 def check_equal_weights(fit: HyperplaneFit, tol: float) -> bool:

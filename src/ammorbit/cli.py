@@ -251,7 +251,8 @@ def _random_trades(seed: int, n: int, count: int) -> tuple[list, list, list]:
     columns = ([], [], [])
     for first in range(0, count, _TRADE_BLOCK):
         draws = trial_draws(seed, range(first, min(first + _TRADE_BLOCK, count)))
-        for column, drawn in zip(columns, (*draws.pair(n), draws.log_uniform(1e-3, 1.0, 1)[:, 0])):
+        i, j = draws.pairs(n, 1)[:, :, 0]
+        for column, drawn in zip(columns, (i, j, draws.log_uniform(1e-3, 1.0, 1)[:, 0])):
             column.extend(drawn.tolist())
     return columns
 

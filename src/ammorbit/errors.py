@@ -56,6 +56,13 @@ def require_real(name: str, value) -> None:
         raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
+def _require_tolerance(value) -> None:
+    """Raise ConfigError unless value is a real number in (0, 1)."""
+    require_real("tolerance", value)
+    if not (0.0 < value < 1.0):
+        raise ConfigError(f"tolerance must lie in (0, 1), got {value!r}")
+
+
 def read_float(value) -> float:
     """value as a float: NaN if it is not a real number (a bool is not one),
     and an infinity if it is an int beyond float range."""

@@ -9,7 +9,6 @@ scaling_factor.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import AmmError, ConfigError, DomainError, UsageError, require_real
 from .rules import Move, SwapRule, _check_move, _check_state, _swap, _Walk, _walk, swap
-from .state import _csv, _factors, as_weights, rel_close
+from .state import _csv, _factors, _freeze, _gmean, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
@@ -73,7 +72,7 @@ def decompose_check(rule: SwapRule, s, i: int, j: int, amount: float, fee: float
 
     composed = swap(rule, a, i, j, effective).copy()
     composed[i] = composed[i] + held_back
-    composed.flags.writeable = False
+    _freeze(composed)
 
     shifted = a.copy()
     shifted[i] = shifted[i] + held_back
@@ -136,9 +135,7 @@ def _fold(rule: SwapRule, s0, trades, fee: float,
         raise walk.failure
     if walk.failure is not None:
         _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
-    # weighted_gmean's own float operations: one elementwise log, then one
-    # dot product per state; a stacked matrix product may round differently.
-    values = tuple(math.exp(float(np.dot(w, row))) for row in np.log(walk.states))
+    values = tuple(_gmean(w, row) for row in np.log(walk.states))
     series = DriftSeries(rule=rule.name, fee=fee, states=tuple(walk.states),
                          invariant_values=values)
     return series, walk
@@ -151,7 +148,7 @@ def scaling_factor(weights, factors) -> float:
         f = _factors(factors, w.shape)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
-    return float(math.exp(float(np.dot(w, np.log(f)))))
+    return _gmean(w, np.log(f))
 
 
 def drift_to_csv(series: DriftSeries) -> str:

@@ -197,11 +197,12 @@ class Draws:
             if scaled & 0xFFFFFFFF >= threshold:
                 return scaled >> 32
 
-    def pair(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """A uniformly drawn ordered pair of distinct token indices below n, per row."""
-        raw = self.integers([n, n - 1])
-        i, j = raw[:, 0], raw[:, 1]
-        return i, j + (j >= i)
+    def pairs(self, n: int, count: int) -> np.ndarray:
+        """(2, rows, count): count uniformly drawn ordered pairs of distinct
+        token indices below n per row, as (first indices, second indices)."""
+        raw = self.integers([n, n - 1] * count)
+        i, j = raw[:, 0::2], raw[:, 1::2]
+        return np.stack([i, j + (j >= i)])
 
 
 def _log(values: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def _vector(values, name: str, entry: str) -> np.ndarray:
         raise MalformedInputError(f"{name} must be numeric: {exc}") from exc
     if a.ndim != 1 or a.size < 2:
         raise MalformedInputError(f"{name} must be a vector of >= 2 floats, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not all(map(math.isfinite, a.tolist())):
         raise MalformedInputError(f"non-finite {entry} in {a.tolist()}")
     return _freeze(a)
 
@@ -103,7 +103,7 @@ def _factors(factors, shape: tuple) -> np.ndarray:
         raise DomainError(f"scale factors must be positive and finite, got {factors!r}") from exc
     if f.shape != shape:
         raise UsageError(f"factor dimension {f.shape} does not match dimension {shape}")
-    if not np.all(np.isfinite(f)) or not np.all(f > 0.0):
+    if not _positive(f):
         raise DomainError(f"scale factors must be positive and finite, got {f.tolist()}")
     return f
 
@@ -139,7 +139,12 @@ def weighted_gmean(s, weights) -> float:
     w = as_weights(weights)
     if w.shape != a.shape:
         raise UsageError(f"weight dimension {w.shape} does not match state dimension {a.shape}")
-    return float(math.exp(float(np.dot(w, np.log(a)))))
+    return _gmean(w, np.log(a))
+
+
+def _gmean(w: np.ndarray, logs: np.ndarray) -> float:
+    """exp(w . logs), one dot product per state: a matrix product may round otherwise."""
+    return math.exp(float(np.dot(w, logs)))
 
 
 def rel_close(a, b, tol: float = REL_TOL) -> bool:
@@ -148,8 +153,12 @@ def rel_close(a, b, tol: float = REL_TOL) -> bool:
     bb = np.asarray(b, dtype=float)
     if aa.shape != bb.shape:
         return False
-    scale_ref = np.maximum(np.abs(aa), np.abs(bb))
-    return bool(np.all(np.abs(aa - bb) <= tol * scale_ref))
+    return bool(_close_rows(aa.ravel(), bb.ravel(), tol))
+
+
+def _close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """rel_close of each pair of rows of a and b (along their last axis)."""
+    return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=-1)
 
 
 def _csv(header: str, *columns) -> Iterator[str]:

@@ -119,6 +119,33 @@ class TestClassifyCommand:
         assert d["verdict"] is False
         assert d["failure"]
 
+    def test_failure_precedence(self, tmp_path):
+        # A slope-spread failure is named first; otherwise the first orbit
+        # whose implied invariant varies by more than the tolerance.  The
+        # tolerances come from the run's own spreads, which rest on libm.
+        args = ["classify", "--rule", "wgm:0.3", "--orbits", "3", "--samples", "16",
+                "--seed", "7", "--tolerance"]
+
+        def classify(tolerance):
+            rc, path = run(args + [repr(tolerance)], tmp_path)
+            d = json.loads(path.read_text())
+            assert rc == (0 if d["verdict"] else 1) and d["verdict"] == (d["failure"] is None)
+            return d
+
+        loose = classify(0.5)
+        slope = loose["slope_spread"]
+        spreads = [orbit["invariant_spread"] for orbit in loose["orbits"]]
+        assert loose["verdict"] is True and slope > 0.0
+        # Below every spread: each orbit exceeds it too, but the slopes are named.
+        below = min(slope, *spreads) / 2
+        assert classify(below)["failure"] == (f"slope spread {slope!r} exceeds tolerance "
+                                              f"{below!r}")
+        # At the slope spread, the slopes agree; the first orbit beyond it is named.
+        first = next((k for k, spread in enumerate(spreads) if spread > slope), None)
+        expected = None if first is None else (
+            f"orbit {first}: implied invariant varies by {spreads[first]!r} (tolerance {slope!r})")
+        assert classify(slope)["failure"] == expected
+
     def test_rejects_multi_token_rule(self, capsys):
         rc = cli.main(["classify", "--rule", "wprod:0.5,0.3,0.2"])
         assert rc == 2

@@ -8,13 +8,16 @@ import importlib
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ammorbit import (AmmError, ConfigError, DomainError, MalformedInputError, OrbitConfig,
-                      RuleSpec, TrialConfig, UsageError, as_reserves, as_weights, chain,
-                      check_slices, decompose_check, exp_map, fee_drift, fee_swap, make_rule,
-                      out_amount, pareto_geq, product, scale, scaling_factor, swap,
-                      weight_from_slope, weighted_gmean, weighted_product)
+                      OrbitSample, RuleSpec, TrialConfig, UsageError, as_reserves, as_weights,
+                      chain, check_slices, decompose_check, exp_map, fee_drift, fee_swap,
+                      fit_log_hyperplane, fit_log_line, make_rule, out_amount, pareto_geq,
+                      product, scale, scaling_factor, swap, weight_from_slope, weighted_gmean,
+                      weighted_product)
+from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -92,3 +95,49 @@ MALFORMED = [
 def test_malformed_caller_input_raises_its_amm_error(call, error):
     with pytest.raises(error):
         call()
+
+
+def _unit_witness(**changed):
+    inputs = {"state": [1.0, 2.0], "factors": [1.0, 3.0], "token_in": 0, "token_out": 1,
+              "amount": 0.5, **changed}
+    return _violates_unit_invariance(product(), inputs, 1e-9)
+
+
+def _symmetry_witness(**changed):
+    return _violates_token_symmetry(product(), {"state": [1.5, 4.0], "amount": 0.5, **changed},
+                                    1e-9)
+
+
+def _cloud(bad):
+    points = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -2.0]], dtype=object)
+    points[2, 0] = bad
+    return OrbitSample(rule="product", start=np.ones(2), states=(), log_points=points, seed=0)
+
+
+# A witness replays through swap()'s own checks, uncast, so a malformed one
+# reads as a violation with swap()'s error; a fit refuses a cloud that is not
+# finite and numeric before its spread and SVD steps.
+REFUSED = [
+    ("unit witness float token", lambda: _unit_witness(token_in=0.7), "error: bad token pair"),
+    ("symmetry witness bool amount", lambda: _symmetry_witness(amount=True),
+     "error: amount must be a finite number"),
+    ("unit witness 3 factors", lambda: _unit_witness(factors=[1.0, 3.0, 2.0]),
+     "error: factor dimension"),
+    ("symmetry witness str state", lambda: _symmetry_witness(state=["a", 2.0]),
+     "error: reserves must be numeric"),
+    *[(f"{fit.__name__} {name} cloud", lambda fit=fit, bad=bad: fit(_cloud(bad)),
+       MalformedInputError)
+      for fit in (fit_log_line, fit_log_hyperplane)
+      for name, bad in (("inf", np.inf), ("nan", np.nan), ("str", "a"))],
+]
+
+
+@pytest.mark.parametrize("call, refusal", [case[1:] for case in REFUSED],
+                         ids=[case[0] for case in REFUSED])
+def test_malformed_witness_or_cloud_is_refused(call, refusal):
+    if isinstance(refusal, str):
+        violated, observed, _ = call()
+        assert violated and observed.startswith(refusal), observed
+    else:
+        with pytest.raises(refusal):
+            call()
