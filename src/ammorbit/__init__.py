@@ -85,7 +85,7 @@ from .state import (
     weighted_gmean,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AmmError", "AxiomReport", "ChainError", "ClassificationError",

@@ -71,11 +71,11 @@ class OrbitConfig:
 
 @dataclass(frozen=True)
 class OrbitSample:
-    """States visited while wandering one orbit, plus their log images."""
+    """An orbit walk's states as one read-only (m, n) array, and their logs."""
 
     rule: str
     start: np.ndarray
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     log_points: np.ndarray
     seed: int
 
@@ -164,27 +164,26 @@ def sample_orbit(rule: SwapRule, s0, count: int = 64, seed: int = 0) -> OrbitSam
         raise UsageError(f"count must be >= {MIN_ORBIT_SAMPLES}, got {count}")
     require_seed(seed)
     return _sample(rule, s0, _orbit_directions(rule.dimension), count, seed,
-                   OrbitConfig.amount_range)[0]
+                   OrbitConfig.amount_range)
 
 
 def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, seed: int,
-            amount_range: tuple[float, float]) -> tuple[OrbitSample, np.ndarray]:
-    """count swaps from s0 cycling through directions, each trading a
-    log-uniform fraction in amount_range of the input reserve, drawn
-    from trial_rng(seed, 0); the sample and its states as one array."""
+            amount_range: tuple[float, float]) -> OrbitSample:
+    """The sample of count swaps from s0 cycling through directions, each
+    trading a log-uniform fraction in amount_range of the input reserve,
+    drawn from trial_rng(seed, 0)."""
     fractions = trial_draws(seed, [0]).log_uniform(*amount_range, count)[0]
     walk = _walk(rule, s0, (*np.resize(directions, (count, 2)).T, fractions), relative=True)
     if isinstance(walk.failure, AmmError):
         raise walk.failure
-    rows = tuple(walk.states)
-    sample = OrbitSample(rule=rule.name, start=rows[0], states=rows,
+    sample = OrbitSample(rule=rule.name, start=walk.states[0], states=walk.states,
                          log_points=_freeze(np.log(walk.states)), seed=seed)
     if walk.failure is not None:
         raise SamplingError(
             f"orbit sampling hit the domain boundary of {rule.name!r} {_describe_exit(walk)}",
             partial=sample,
         )
-    return sample, walk.states
+    return sample
 
 
 def _cloud(sample: OrbitSample) -> np.ndarray:
@@ -267,6 +266,9 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
     if rule.dimension != 2:
         raise UsageError("verify_level_sets handles two-token rules; "
                          "use fit_log_hyperplane for more tokens")
+    for k, start in enumerate(starts):
+        if start.size != 2:
+            raise UsageError(f"start {k} has {start.size} coordinates, rule has 2")
 
     # An orbit's invariant fields stay NaN until every orbit has a line.
     fits: list[OrbitFit] = []
@@ -280,7 +282,7 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
     for k, start in enumerate(starts):
         try:
             sample = _sample(rule, start, _orbit_directions(2), cfg.samples, cfg.seed ^ k,
-                             cfg.amount_range)[0]
+                             cfg.amount_range)
             fit = fit_log_line(sample)
         except AmmError as exc:
             return fail(f"orbit {k} (start {start.tolist()}): {exc}")
@@ -383,11 +385,11 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
             slice_seed = cfg.seed ^ (i * n + j)
             others_fixed, slope, residual = False, math.nan, math.nan
             try:
-                sample, cloud = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
-                                        cfg.amount_range)
+                sample = _sample(rule, point, [(i, j), (j, i)], cfg.samples, slice_seed,
+                                 cfg.amount_range)
                 others = [k for k in range(n) if k not in (i, j)]
-                others_fixed = bool(np.all(cloud[:, others] == point[others]))
-                fit = fit_log_line(replace(sample, log_points=np.log(cloud[:, (i, j)])))
+                others_fixed = bool(np.all(sample.states[:, others] == point[others]))
+                fit = fit_log_line(replace(sample, log_points=np.log(sample.states[:, (i, j)])))
             except AmmError as exc:
                 failure = failure or f"pair ({i}, {j}): {exc}"
             else:

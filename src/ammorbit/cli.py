@@ -235,7 +235,7 @@ def _cmd_simulate_fees(args) -> int:
             "seed": int(args.seed),
             "trades": _Rows(map(np.asarray, walk.tried)),
             "states": _Rows(walk.states.T),
-            "invariant_values": np.array(series.invariant_values),
+            "invariant_values": series.invariant_values,
         }
         _emit(_json_payload(payload), args.output)
     return 0
@@ -277,7 +277,7 @@ def _cmd_orbit_export(args) -> int:
             "seed": int(args.seed),
             "start": [float(v) for v in sample.start],
             "partial": partial,
-            "states": _Rows(np.array(sample.states).T),
+            "states": _Rows(sample.states.T),
             "log_points": _Rows(sample.log_points.T),
         }
         _emit(_json_payload(payload), args.output)

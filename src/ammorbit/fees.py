@@ -101,12 +101,12 @@ def decompose_check(rule: SwapRule, s, i: int, j: int, amount: float, fee: float
 
 @dataclass(frozen=True)
 class DriftSeries:
-    """States and invariant values along a fee-charging trade sequence."""
+    """A fee walk's states as one read-only (m, n) array, and the (m,) invariants at them."""
 
     rule: str
     fee: float
-    states: tuple[np.ndarray, ...]
-    invariant_values: tuple[float, ...]
+    states: np.ndarray
+    invariant_values: np.ndarray
 
     def __post_init__(self):
         if len(self.states) != len(self.invariant_values):
@@ -130,15 +130,16 @@ def _fold(rule: SwapRule, s0, trades, fee: float,
     if rule.weights is None:
         raise UsageError(f"rule {rule.name!r} declares no invariant to track")
     w = as_weights(rule.weights)
+    if w.shape != (rule.dimension,):
+        raise UsageError(f"weight dimension {w.shape} does not match state dimension "
+                         f"{(rule.dimension,)}")
     walk = _walk(rule, s0, trades, relative=relative, fee=fee)
     if isinstance(walk.failure, AmmError):
         raise walk.failure
     if walk.failure is not None:
         _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
-    values = tuple(_gmean(w, row) for row in np.log(walk.states))
-    series = DriftSeries(rule=rule.name, fee=fee, states=tuple(walk.states),
-                         invariant_values=values)
-    return series, walk
+    values = _freeze(np.array([_gmean(w, row) for row in np.log(walk.states)]))
+    return DriftSeries(rule=rule.name, fee=fee, states=walk.states, invariant_values=values), walk
 
 
 def scaling_factor(weights, factors) -> float:

@@ -72,9 +72,9 @@ class RuleSpec:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States visited by a chain of swaps; states[k] precedes moves[k]."""
+    """A chain's states as one read-only (m, n) array; states[k] precedes moves[k]."""
 
-    states: tuple[np.ndarray, ...]
+    states: np.ndarray
     moves: tuple[Move, ...]
 
     def __post_init__(self):
@@ -442,7 +442,7 @@ def chain(rule: SwapRule, s0, moves: Sequence[Move]) -> Trajectory:
     if isinstance(walk.failure, AmmError):
         raise walk.failure
     done = tuple((int(i), int(j), float(a)) for i, j, a in walk.moves[:len(walk.states) - 1])
-    trajectory = Trajectory(states=tuple(walk.states), moves=done)
+    trajectory = Trajectory(states=walk.states, moves=done)
     if walk.failure is not None:
         raise ChainError(f"chain left the domain of {rule.name!r} {_describe_exit(walk)}",
                          step=len(walk.states) - 1, partial=trajectory)

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from ammorbit import (AmmError, ConfigError, DomainError, MalformedInputError, OrbitConfig,
-                      OrbitSample, RuleSpec, TrialConfig, UsageError, as_reserves, as_weights,
-                      chain, check_slices, decompose_check, exp_map, fee_drift, fee_swap,
-                      fit_log_hyperplane, fit_log_line, make_rule, out_amount, pareto_geq,
-                      product, scale, scaling_factor, swap, weight_from_slope, weighted_gmean,
-                      weighted_product)
+                      OrbitSample, RuleSpec, SwapRule, TrialConfig, UsageError, as_reserves,
+                      as_weights, chain, check_slices, decompose_check, exp_map, fee_drift,
+                      fee_swap, fit_log_hyperplane, fit_log_line, make_rule, out_amount,
+                      pareto_geq, product, scale, scaling_factor, swap, verify_level_sets,
+                      weight_from_slope, weighted_gmean, weighted_product)
 from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
@@ -49,6 +49,8 @@ def test_every_raise_is_an_amm_error_and_no_assert(path):
 
 BIG = 10**400  # an int beyond float range
 WPROD = RuleSpec("wprod", weights=(0.2, 0.3, 0.5))
+# A 3-token rule that declares two weights.
+SHORT_WEIGHTS = SwapRule("short", 3, make_rule(WPROD).swap_in, weights=np.array([0.5, 0.5]))
 
 # Caller input that once escaped as a raw TypeError, ValueError or
 # OverflowError, or passed unchecked, and the AmmError it must raise.
@@ -87,6 +89,10 @@ MALFORMED = [
     ("pareto_geq big", lambda: pareto_geq([BIG, 1], [1, 1]), MalformedInputError),
     ("check_slices big", lambda: check_slices(make_rule(WPROD), [BIG, 1, 1], OrbitConfig()),
      MalformedInputError),
+    ("verify_level_sets 3-token start",
+     lambda: verify_level_sets(product(), [[1, 1], [2, 1, 3]], OrbitConfig()), UsageError),
+    ("fee_drift short weights", lambda: fee_drift(SHORT_WEIGHTS, [1, 1, 1], [(0, 1, 0.5)], 0.0),
+     UsageError),
 ]
 
 

@@ -240,7 +240,7 @@ class TestNonFiniteExports:
                 values = list(series.invariant_values)
                 values[2000] = math.nan
                 series = type(series)(rule=series.rule, fee=series.fee, states=series.states,
-                                      invariant_values=tuple(values))
+                                      invariant_values=np.array(values))
             return series, walk
 
         monkeypatch.setattr(cli, "_fold", fold)

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from ammorbit import (AmmError, ChainError, InternalError, MalformedInputError, NumericError,
-                      UsageError, chain, constant_sum, fee_drift, parse_rule, product,
-                      sample_orbit, weighted_product, wgm)
+                      SamplingError, UsageError, chain, constant_sum, fee_drift, parse_rule,
+                      product, sample_orbit, weighted_product, wgm)
 from ammorbit import cli
 from ammorbit.fees import _fold, fee_swap
 from ammorbit.rules import _check_move, _check_state, _walk, is_valid
@@ -270,26 +270,31 @@ def test_caller_moves_are_checked_at_their_own_step():
         fee_drift(wgm(0.5), [1.0, 1.0], [(0, 1, 0.1), (0, 2, 0.1)], 0.003)
 
 
-def test_walk_results_are_tuples_of_read_only_rows():
+def test_walk_results_are_the_walks_read_only_arrays():
     rule = wgm(0.3)
+    capped = replace(rule, domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
     orbit = sample_orbit(rule, [1.0, 2.0], 40, seed=3)
     drift = fee_drift(rule, [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25), (0, 1, 0.0)], 0.003)
     trajectory = chain(rule, [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25)])
-    for states, m in ((orbit.states, 40), (drift.states, 3), (trajectory.states, 2)):
-        assert isinstance(states, tuple) and len(states) == m + 1
-        for row in states:
-            assert isinstance(row, np.ndarray) and row.shape == (2,) and row.dtype == float
-            with pytest.raises(ValueError):
-                row[0] = 1.0
-            with pytest.raises(ValueError):
-                row += 1.0
+    with pytest.raises(SamplingError) as sampling:
+        sample_orbit(capped, [1.0, 2.0], 40, seed=3)
+    with pytest.raises(ChainError) as chained:
+        chain(capped, [1.0, 2.0], [(0, 1, 0.5), (0, 1, 5.0)])
+    for array, shape in ((orbit.states, (41, 2)), (drift.states, (4, 2)),
+                         (trajectory.states, (3, 2)), (sampling.value.partial.states, (15, 2)),
+                         (chained.value.partial.states, (2, 2)), (drift.invariant_values, (4,))):
+        assert isinstance(array, np.ndarray) and array.shape == shape and array.dtype == float
+        assert not array.flags.writeable
+        row = array[-1] if array.ndim == 2 else array
+        with pytest.raises(ValueError):
+            row[0] = 1.0
+        with pytest.raises(ValueError):
+            row += 1.0
 
 
 def test_orbit_sampling_holds_little_more_than_it_keeps():
-    # With one ndarray per state, the pinned moves as tuples and a stacked
-    # copy for the logs, the peak was 12.6 MB for 4.7 MB kept.  What is
-    # kept is now mostly the public tuple's row views, about 120 bytes each
-    # (3.6 MB); the peak exceeds it by the walk's moves only.
+    # What is kept is the walk's states array and its logs, 0.96 MB; the
+    # peak exceeds it by the walk's float list and its move columns.
     rule = wgm(0.5)
     sample_orbit(rule, [1.0, 1.0], 64)
     tracemalloc.start()
@@ -299,4 +304,4 @@ def test_orbit_sampling_holds_little_more_than_it_keeps():
     finally:
         tracemalloc.stop()
     assert len(sample.states) == 30001
-    assert peak < 7.5e6 and peak < 1.5 * kept, (kept, peak)
+    assert kept < 1.2e6 and peak < 5.5e6, (kept, peak)
