@@ -1,6 +1,7 @@
-"""Golden CLI outputs: the criterion 7 invocations, a 3-token check, and
-orbit and fee walks (a partial orbit, 3-token orbits and fee drift, a
-zero fee), compared byte for byte against recorded files.
+"""Golden CLI outputs: the criterion 7 invocations, a 3-token check, checks
+at extreme weights and at a tolerance near machine precision, and orbit and
+fee walks (a partial orbit, 3-token orbits and fee drift, a zero fee),
+compared byte for byte against recorded files.
 
 Regenerate (only for an intended format change) with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -39,6 +40,13 @@ CASES = [
       "--format", "json", "--seed", "7"], 0),
     ("fees_wgm0.3_phi0.csv",
      ["simulate-fees", "--rule", "wgm:0.3", "--phi", "0", "--trades", "50", "--seed", "7"], 0),
+    ("check_wgm1e-6.json",
+     ["check-axioms", "--rule", "wgm:1e-6", "--trials", "2000", "--seed", "7"], 1),
+    ("check_wgm0.999999.json",
+     ["check-axioms", "--rule", "wgm:0.999999", "--trials", "2000", "--seed", "7"], 1),
+    ("check_product_tol1e-15.json",
+     ["check-axioms", "--rule", "product", "--trials", "2000", "--tolerance", "1e-15",
+      "--seed", "7"], 1),
 ]
 
 
