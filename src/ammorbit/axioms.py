@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (AmmError, ConfigError, InternalError, UsageError, _require_tolerance,
                      require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
-from .rules import SwapRule, _walk, _Walk, swap, swap_rows
+from .rules import SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
 from .state import _close_rows, _factors, _positive, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
@@ -117,7 +117,7 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
     return False, out.tolist(), expected
 
 
-def _dominance(chains: np.ndarray) -> np.ndarray:
+def _dominance(chains: np.ndarray, widen=0.0) -> np.ndarray:
     """For chains (B, m, n) of finite states: [b, p, q] is True iff state p
     dominates state q under the 1e-12 margin.
 
@@ -126,15 +126,23 @@ def _dominance(chains: np.ndarray) -> np.ndarray:
     coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
     symmetric in p and q, so on finite inputs "q is not above p" is
     exactly the test "p - q >= -slack" on every coordinate.
+
+    With widen > 0, (B, 1, 1), each p - q is known within widen times the
+    larger magnitude, and [b, p, q] is True unless q is surely above p on
+    some coordinate, by the margin plus widen, or p is q.
     """
     size = chains.shape[1]
     magnitude = np.abs(chains)
     above = np.zeros((chains.shape[0], size, size), dtype=bool)
     for k in range(chains.shape[2]):
         slack = np.maximum(magnitude[:, :, None, k], magnitude[:, None, :, k])
-        slack *= PARETO_MARGIN
+        slack *= PARETO_MARGIN + widen
         above |= chains[:, :, None, k] - chains[:, None, :, k] > slack
-    return above & ~above.transpose(0, 2, 1)
+    dominates = ~above.transpose(0, 2, 1)
+    if not np.any(widen):
+        dominates &= above
+    dominates[:, range(size), range(size)] = False
+    return dominates
 
 
 def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
@@ -252,78 +260,91 @@ def _trial(drawn: dict, k: int) -> dict:
 # block of drawn trials at once with the predicates' own float
 # operations, through swap_rows, which behaves as swap() on each row, so
 # a trial's verdict is the predicate's verdict.  A judge returns the
-# per-trial violation mask.
+# per-trial violation mask; with screen, the rows come from the rule's
+# screen, and a trial is cleared only if it holds with the bound to spare.
 
-def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
-    out, ok = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
-                        drawn["amount"])
+def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
+    out, ok, _ = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
+                           drawn["amount"], screen)
     return ~(ok & np.all(out > 0.0, axis=1))
 
 
-def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     s, f, i, j, amount = (drawn[key] for key in
                           ("state", "factors", "token_in", "token_out", "amount"))
-    rhs, ok = swap_rows(rule, s, i, j, amount)
-    lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount)
-    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance))
+    rhs, ok, e = swap_rows(rule, s, i, j, amount, screen)
+    lhs, ok_scaled, e_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount,
+                                         screen)
+    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance, 2.0 * (e + e_scaled)))
 
 
-def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     s, amount = drawn["state"], drawn["amount"]
     first = np.zeros(len(s), dtype=int)
     second = first + 1
-    t, ok = swap_rows(rule, s, first, second, amount)
-    mirrored, ok_mirrored = swap_rows(rule, s[:, ::-1], second, first, amount)
-    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance))
+    t, ok, e = swap_rows(rule, s, first, second, amount, screen)
+    mirrored, ok_mirrored, e2 = swap_rows(rule, s[:, ::-1], second, first, amount, screen)
+    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance, 2.0 * (e + e2)))
 
 
-def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     i, j, fractions = drawn["token_in"], drawn["token_out"], drawn["fractions"]
     rows = np.arange(len(i))
     states = np.empty((len(i), cfg.chain_length + 1, rule.dimension))
     states[:, 0] = drawn["start"]
     alive = np.ones(len(i), dtype=bool)
+    # bound is E_k, the relative distance of every coordinate of state k from
+    # the exact chain's.  A chain trades x * s_i of the state it reached, and
+    # new_j = s_j (1 + x)^(-w_i / w_j) does not depend on s_i: in the kernel's
+    # logs the errors of s_i and new_i cancel but for new_i's rounding, scaled
+    # by w_i / w_j.  So E_{k+1} <= E_k + d_k + c eps (1 + w_i / w_j), with d_k
+    # the trade's own error; the screen's bound holds the last two terms.
+    bound = np.zeros((len(i), 1))
     for k in range(cfg.chain_length):
         current = states[:, k]
         amount = fractions[:, k] * current[rows, i[:, k]]
-        nxt, ok = swap_rows(rule, current, i[:, k], j[:, k], amount)
+        nxt, ok, e = swap_rows(rule, current, i[:, k], j[:, k], amount, screen)
+        bound += e
         alive &= ok & (nxt > 0.0).all(axis=1)
         # A broken chain stays on its last valid state; its verdict is final.
         states[:, k + 1] = np.where(alive[:, None], nxt, current)
-    return ~alive | _any_dominance(states, np.flatnonzero(alive))
+    # A difference p - q moves by at most E (|p| + |q|), twice E of the larger.
+    return ~alive | _any_dominance(states, np.flatnonzero(alive), 2.0 * bound)
 
 
 # Pairwise dominance tests hold chunk x (L+1)^2 floats per temporary.
 _PAIRWISE_CHUNK = 8
 
 
-def _any_dominance(chains: np.ndarray, pending: np.ndarray) -> np.ndarray:
-    """Whether some state dominates another, for the pending chains of valid states.
+def _any_dominance(chains: np.ndarray, pending: np.ndarray, widen: np.ndarray) -> np.ndarray:
+    """Whether some state may dominate another, for the pending chains of
+    valid states, known within widen (B, 1) as _dominance takes it.
 
     Two-token chains that form a strict frontier with room to spare are
-    cleared by sorting; every other chain gets the exact pairwise test.
+    cleared by sorting; every other chain gets the pairwise test.
     """
     if chains.shape[2] == 2:
-        pending = pending[~_strict_frontier(chains[:, :, 0], chains[:, :, 1])[pending]]
+        gap = 2.0 * (PARETO_MARGIN + widen)
+        pending = pending[~_strict_frontier(chains[:, :, 0], chains[:, :, 1], gap)[pending]]
     found = np.zeros(len(chains), dtype=bool)
     for lo in range(0, pending.size, _PAIRWISE_CHUNK):
         part = pending[lo:lo + _PAIRWISE_CHUNK]
-        found[part] = _dominance(chains[part]).any(axis=(1, 2))
+        found[part] = _dominance(chains[part], widen[part, :, None]).any(axis=(1, 2))
     return found
 
 
-def _strict_frontier(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _strict_frontier(x: np.ndarray, y: np.ndarray, gap=2.0 * PARETO_MARGIN) -> np.ndarray:
     """Two-token chains whose states, sorted by x, strictly fall in y.
 
     Requiring every gap in x and in y to exceed twice the dominance
     margin (the factor covers rounding in both tests) is sufficient for
     no pair to dominate under _dominance: gaps add up along the sorted
-    chain.  A chain that fails this may still be clean.
+    chain.  A chain that fails this may still be clean.  Chains known
+    within a widen of _dominance need gaps over 2 (margin + widen).
     """
     order = np.argsort(x, axis=1, kind="stable")
     x = np.take_along_axis(x, order, axis=1)
     y = np.take_along_axis(y, order, axis=1)
-    gap = 2.0 * PARETO_MARGIN
     return (np.all(x[:, 1:] - x[:, :-1] > gap * x[:, 1:], axis=1)
             & np.all(y[:, :-1] - y[:, 1:] > gap * y[:, :-1], axis=1))
 
@@ -358,14 +379,33 @@ def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) ->
     """Lowest row of a block of drawn trials that violates the axiom, or None.
 
     A rule with swap_batch is judged a whole block at once; a black-box
-    rule runs one trial at a time through the scalar verdict.
+    rule runs one trial at a time through the scalar verdict.  A screen
+    judges first, on rows whose weights do not bound it above the
+    tolerance; swap_batch judges the rows it does not clear.
     """
+    rows = len(next(iter(drawn.values())))
     if rule.swap_batch is None:
-        rows = len(next(iter(drawn.values())))
         return next((k for k in range(rows)
                      if _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))[1]), None)
-    hits = np.flatnonzero(_ENGINE[axiom][1](rule, cfg, drawn))
+    judge = _ENGINE[axiom][1]
+    suspect = np.ones(rows, dtype=bool)
+    screen = _screen_of(rule)
+    if screen is not None:
+        # Token symmetry trades 0 -> 1 and its mirror 1 -> 0.
+        i, j = ((drawn["token_in"], drawn["token_out"]) if "token_in" in drawn
+                else np.broadcast_to([[[0, 1]], [[1, 0]]], (2, rows, 2)))
+        hopeful = screen.floor(i, j).reshape(rows, -1).sum(axis=1) <= cfg.tolerance
+        if hopeful.any():
+            suspect[hopeful] = judge(rule, cfg, _take(drawn, hopeful), True)
+    if not suspect.any():
+        return None
+    hits = np.flatnonzero(suspect)[judge(rule, cfg, _take(drawn, suspect), False)]
     return int(hits[0]) if hits.size else None
+
+
+def _take(drawn: dict, rows: np.ndarray) -> dict:
+    """The drawn trials of a row mask."""
+    return drawn if rows.all() else {key: column[rows] for key, column in drawn.items()}
 
 
 def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,

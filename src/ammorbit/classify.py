@@ -34,7 +34,7 @@ from .errors import (
 )
 from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
-from .state import _csv, _freeze, rel_close, require_valid
+from .state import _csv, _freeze, _width, rel_close, require_valid
 
 # Log points closer than this are not distinct enough to anchor a fit.
 DISTINCT_EPS = 1e-10
@@ -419,7 +419,7 @@ def orbit_to_csv(sample: OrbitSample) -> str:
 
 
 def _orbit_csv(sample: OrbitSample) -> Iterator[str]:
-    n = int(sample.log_points.shape[1])
+    n = _width(sample.states, sample.log_points)
     header = ",".join([f"x{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)])
     return _csv(header, sample.states, sample.log_points)
 

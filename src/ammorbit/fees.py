@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import AmmError, ConfigError, DomainError, UsageError, require_real
 from .rules import Move, SwapRule, _check_move, _check_state, _swap, _Walk, _walk, swap
-from .state import _csv, _factors, _freeze, _gmean, as_weights, rel_close
+from .state import _csv, _factors, _freeze, _gmean, _width, as_weights, rel_close
 
 MATCH_TOL = 1e-12
 
@@ -158,7 +158,7 @@ def drift_to_csv(series: DriftSeries) -> str:
 
 
 def _drift_csv(series: DriftSeries) -> Iterator[str]:
-    n = series.states[0].size
+    n = _width(series.states)
     names = ["x", "y"] if n == 2 else [f"x{k + 1}" for k in range(n)]
     return _csv(",".join(["step", *names, "phi"]), np.arange(len(series.states)),
                 series.states, series.invariant_values)

@@ -136,23 +136,77 @@ class _PairSwap:
         return out
 
 
+# screen()'s bound is in units of 64 epsilons: numpy's and libm's log and exp
+# are each within an ulp of the true value, and the weighted kernel rounds six
+# times before its exp, so 8 cover a trade; 64 leave an 8x margin.  A row
+# counts only with a bound under 2**-20 and every coordinate within
+# [2**-1000, 2**1000], far from libm's underflow and overflow.
+_SCREEN_ULPS = 64.0 * float(np.finfo(float).eps)
+_SCREEN_CAP, _SCREEN_RANGE = 2.0 ** -20, (2.0 ** -1000, 2.0 ** 1000)
+
+
+class _PairBatch:
+    """swap_batch of a rule built by _pair_rule: the kernel on gathered rows
+    with libm per element, so each row equals swap_in bit for bit.  screen()
+    runs the same kernel with numpy's np.log and np.exp; a custom swap_batch
+    is not a _PairBatch, so replace(rule, swap_batch=...) drops the screen."""
+
+    __slots__ = ("kernel", "w")
+
+    def __init__(self, kernel: Callable[..., tuple], w: np.ndarray):
+        self.kernel, self.w = kernel, w
+
+    def __call__(self, s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray,
+                 log=_row_log, exp=_row_exp) -> np.ndarray:
+        rows = np.arange(s.shape[0])
+        new_i, new_j = self.kernel(s[rows, i], s[rows, j], self.w[i], self.w[j], amount, log, exp)
+        out = s.copy()
+        out[rows, i] = new_i
+        out[rows, j] = new_j
+        return out
+
+    def floor(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """The least bound screen() gives a trade from i to j: new_i's
+        rounding, scaled by w_i / w_j through the exp argument."""
+        return _SCREEN_ULPS * (1.0 + self.w[i] / self.w[j])
+
+    def screen(self, s, i, j, amount) -> tuple[np.ndarray, np.ndarray]:
+        """(out, bound): swap_batch with np.log and np.exp, and a (B, 1) bound
+        e per row, |swap_batch - out| <= e |out| on every coordinate; rows
+        that do not count are NaN.  The exp argument (w_i ln s_i + w_j ln s_j
+        - w_i ln new_i) / w_j, its error too, is at most the sum of |log|s
+        over w_j: e is that, and the exp's ulp, in _SCREEN_ULPS, plus the floor."""
+        logs = []
+
+        def log(x):
+            y = np.log(x)
+            logs.append(np.abs(y))
+            return y
+
+        with np.errstate(all="ignore"):
+            out = self(s, i, j, amount, log, np.exp)
+        bound = (_SCREEN_ULPS * (sum(logs) / self.w[j] + 1.0) + self.floor(i, j))[:, None]
+        lo, hi = _SCREEN_RANGE
+        counts = np.all((out > lo) & (out < hi), axis=1) & (bound[:, 0] < _SCREEN_CAP)
+        if not counts.all():
+            out[~counts] = np.nan
+        return out, bound
+
+
 def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
                weights: np.ndarray | None) -> SwapRule:
     """A rule whose trade is kernel(s_i, s_j, w_i, w_j, amount, log, exp) ->
     (new_i, new_j), written once: swap_in runs it on floats with math.log
     and math.exp, swap_batch on gathered rows with libm per element, so the
     two agree bit for bit, and the trusted step runs it on Python floats."""
-
-    def swap_batch(s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray) -> np.ndarray:
-        rows = np.arange(s.shape[0])
-        new_i, new_j = kernel(s[rows, i], s[rows, j], w[i], w[j], amount, _row_log, _row_exp)
-        out = s.copy()
-        out[rows, i] = new_i
-        out[rows, j] = new_j
-        return out
-
     return SwapRule(name=name, dimension=int(w.size), swap_in=_PairSwap(kernel, w),
-                    weights=weights, swap_batch=swap_batch)
+                    weights=weights, swap_batch=_PairBatch(kernel, w))
+
+
+def _screen_of(rule: SwapRule) -> _PairBatch | None:
+    """rule's _PairBatch if its kernel calls libm, which the screen replaces."""
+    batch = rule.swap_batch
+    return batch if type(batch) is _PairBatch and batch.kernel is not _sum_pair else None
 
 
 def weighted_product(weights: Sequence[float]) -> SwapRule:
@@ -406,22 +460,24 @@ def _describe_exit(walk: _Walk) -> str:
 
 
 def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
-              amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+              amount: np.ndarray, screen: bool = False) -> tuple[np.ndarray, np.ndarray, object]:
     """swap() on every row through rule.swap_batch.
 
-    Returns the outputs and a mask of the rows on which swap() returns
-    rather than raises; rows swap() would reject are computed on a
-    stand-in and masked out.  For rules whose domain is the default one.
+    Returns the outputs, a mask of the rows on which swap() returns rather
+    than raises, and the bound 0.0; rows swap() would reject are computed on
+    a stand-in and masked out.  For rules whose domain is the default one.
+    With screen, the rule's screen computes the rows, with its bound.
     """
     ok = ((s > 0.0) & (s < math.inf)).all(axis=1) & (amount >= 0.0) & (amount < math.inf)
     if not ok.all():
         s = np.where(ok[:, None], s, 1.0)
         amount = np.where(ok, amount, 0.0)
-    out = rule.swap_batch(s, i, j, amount)
+    out, bound = (rule.swap_batch.screen(s, i, j, amount) if screen
+                  else (rule.swap_batch(s, i, j, amount), 0.0))
     zero = amount == 0.0
     if zero.any():
         out = np.where(zero[:, None], s, out)
-    return out, ok & np.isfinite(out).all(axis=1)
+    return out, ok & np.isfinite(out).all(axis=1), bound
 
 
 def out_amount(rule: SwapRule, s, i: int, j: int, amount: float) -> float:

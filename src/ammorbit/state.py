@@ -156,9 +156,22 @@ def rel_close(a, b, tol: float = REL_TOL) -> bool:
     return bool(_close_rows(aa.ravel(), bb.ravel(), tol))
 
 
-def _close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """rel_close of each pair of rows of a and b (along their last axis)."""
-    return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=-1)
+def _close_rows(a: np.ndarray, b: np.ndarray, tol: float, slack=0.0) -> np.ndarray:
+    """rel_close of each pair of rows of a and b (along their last axis), at
+    tol less a slack, per row as a (B, 1) array."""
+    return np.all(np.abs(a - b) <= (tol - slack) * np.maximum(np.abs(a), np.abs(b)), axis=-1)
+
+
+def _width(*tables) -> int:
+    """n, for tables of m > 0 rows of n values each, arrays or sequences of
+    rows alike; MalformedInputError otherwise."""
+    try:
+        shapes = {np.shape(table) for table in tables}
+    except ValueError as exc:
+        raise MalformedInputError(f"table rows differ in length: {exc}") from exc
+    if len(shapes) != 1 or len(shape := min(shapes)) != 2 or not shape[0]:
+        raise MalformedInputError(f"tables must be alike and non-empty, got shapes {shapes}")
+    return shape[1]
 
 
 def _csv(header: str, *columns) -> Iterator[str]:

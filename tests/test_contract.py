@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ammorbit import (AmmError, ConfigError, DomainError, MalformedInputError, OrbitConfig,
-                      OrbitSample, RuleSpec, SwapRule, TrialConfig, UsageError, as_reserves,
-                      as_weights, chain, check_slices, decompose_check, exp_map, fee_drift,
-                      fee_swap, fit_log_hyperplane, fit_log_line, make_rule, out_amount,
-                      pareto_geq, product, scale, scaling_factor, swap, verify_level_sets,
+from ammorbit import (AmmError, ConfigError, DomainError, DriftSeries, MalformedInputError,
+                      OrbitConfig, OrbitSample, RuleSpec, SwapRule, TrialConfig, UsageError,
+                      as_reserves, as_weights, chain, check_slices, decompose_check,
+                      drift_to_csv, exp_map, fee_drift, fee_swap, fit_log_hyperplane,
+                      fit_log_line, make_rule, orbit_to_csv, out_amount, pareto_geq, product,
+                      sample_orbit, scale, scaling_factor, swap, verify_level_sets,
                       weight_from_slope, weighted_gmean, weighted_product)
 from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
@@ -93,6 +94,19 @@ MALFORMED = [
      lambda: verify_level_sets(product(), [[1, 1], [2, 1, 3]], OrbitConfig()), UsageError),
     ("fee_drift short weights", lambda: fee_drift(SHORT_WEIGHTS, [1, 1, 1], [(0, 1, 0.5)], 0.0),
      UsageError),
+    ("drift_to_csv empty", lambda: drift_to_csv(DriftSeries("r", 0.0, (), ())),
+     MalformedInputError),
+    ("drift_to_csv ragged", lambda: drift_to_csv(DriftSeries("r", 0.0, ((1, 1), (2, 0.5, 3)),
+                                                             (1.0, 1.0))), MalformedInputError),
+    ("orbit_to_csv empty", lambda: orbit_to_csv(OrbitSample("r", (1, 1), (), (), 0)),
+     MalformedInputError),
+    ("orbit_to_csv ragged", lambda: orbit_to_csv(OrbitSample("r", (1, 1), ((1, 1), (2,)),
+                                                             ((0, 0), (0.7, -0.7)), 0)),
+     MalformedInputError),
+    ("orbit_to_csv short log points", lambda: orbit_to_csv(OrbitSample("r", (1, 1),
+                                                                       ((1, 1), (2, 0.5)),
+                                                                       ((0, 0),), 0)),
+     MalformedInputError),
 ]
 
 
@@ -147,3 +161,15 @@ def test_malformed_witness_or_cloud_is_refused(call, refusal):
     else:
         with pytest.raises(refusal):
             call()
+
+
+def test_csv_writers_take_hand_built_tuples_of_rows():
+    sample = sample_orbit(product(), [1.0, 2.0], 8, seed=3)
+    series = fee_drift(product(), [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25)], 0.003)
+    as_tuples = lambda table: tuple(tuple(row) for row in table.tolist())
+    hand_sample = OrbitSample(sample.rule, sample.start, as_tuples(sample.states),
+                              as_tuples(sample.log_points), sample.seed)
+    hand_series = DriftSeries(series.rule, series.fee, as_tuples(series.states),
+                              tuple(series.invariant_values.tolist()))
+    assert orbit_to_csv(hand_sample) == orbit_to_csv(sample)
+    assert drift_to_csv(hand_series) == drift_to_csv(series)

@@ -28,6 +28,7 @@ from ammorbit import (
 )
 from ammorbit import axioms
 from ammorbit.rand import log_uniform, trial_draws, trial_rng
+from ammorbit.rules import _PairBatch, _screen_of
 
 RULES = [f"wgm:{w}" for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)] + [
     "wgm:1e-6", "product", "wprod:0.2,0.3,0.5"]
@@ -120,6 +121,68 @@ def test_overflowing_swap_is_a_violation_on_both_paths(w):
     assert batched == report_to_dict(check_validity_invariance(scalar(wgm(w)), cfg))
 
 
+SCREENED = [wgm(1e-6), wgm(0.08), wgm(0.3), wgm(0.9), wgm(1.0 - 1e-6), product(),
+            weighted_product([0.2, 0.3, 0.5]), weighted_product([1e-6, 0.5, 0.5 - 1e-6]),
+            weighted_product([0.1, 0.2, 0.3, 0.4]),
+            weighted_product([1e-6, 0.3, 0.3, 0.4 - 1e-6])]
+
+
+@pytest.mark.parametrize("rule", SCREENED, ids=lambda r: r.name)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_screen_is_within_an_eighth_of_its_bound_and_vouches_for_no_libm_failure(rule):
+    screen = _screen_of(rule)
+    vouched_rows = 0
+    for chunk in range(4):
+        s, i, j, amount = extreme_inputs(trial_rng(2040 + chunk, rule.dimension),
+                                         rule.dimension, 250_000)
+        exact = rule.swap_batch(s, i, j, amount)
+        out, bound = screen.screen(s, i, j, amount)
+        vouched = np.isfinite(out).all(axis=1)
+        # A row is vouched for whole or not at all, and never where libm
+        # overflows, underflows to zero or raises.
+        assert not np.any(np.isnan(out[vouched])) and np.all(np.isnan(out[~vouched]))
+        assert not np.any(vouched & ~(np.isfinite(exact) & (exact > 0.0)).all(axis=1))
+        distance = np.abs(out - exact)[vouched]
+        assert np.all(distance <= bound[vouched] / 8.0 * np.abs(out[vouched]))
+        vouched_rows += int(vouched.sum())
+    # Most rows are vouched for, at extreme weights those that trade into
+    # the light token too.
+    assert vouched_rows > 400_000
+
+
+def reports(rule, cfg, check=check_all):
+    found = check(rule, cfg)
+    return [report_to_dict(r) for r in (found if isinstance(found, list) else [found])]
+
+
+BIG = float(np.finfo(float).max)
+OVERFLOW = {"state_range": (BIG, BIG), "amount_range": (1e-300, 1e-300)}
+
+
+@pytest.mark.parametrize("case", [
+    *[(text, seed, {}, check_all) for text in ("wgm:0.3", "product", "wprod:0.2,0.3,0.5",
+                                               "wgm:1e-6") for seed in (0, 7, 2**63 + 5)],
+    *[(f"wgm:{w}", 3, OVERFLOW, check_validity_invariance) for w in (0.3, 0.9)],
+], ids=lambda c: f"{c[0]}-{c[1]}-{'overflow' if c[2] else 'default'}")
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
+    text, seed, ranges, check = case
+    rng = trial_rng(seed, 99)
+    calls = []
+    true_screen = _PairBatch.screen
+
+    def perturbed(self, s, i, j, amount):
+        out, bound = true_screen(self, s, i, j, amount)
+        calls.append(len(s))
+        return out * (1.0 + rng.choice([-1.0, 1.0], out.shape) * bound), bound
+
+    monkeypatch.setattr(_PairBatch, "screen", perturbed)
+    rule = parse_rule(text)
+    cfg = TrialConfig(seed=seed, trials=300, **ranges)
+    assert reports(rule, cfg, check) == reports(scalar(rule), cfg, check)
+    assert calls
+
+
 def leaky_swap_in(s, i, j, amount):
     out = s[j] - (s[i] * s[j]) / (s[i] + amount)
     new = np.array(s, dtype=float)
@@ -157,6 +220,28 @@ def test_leaky_three_token_rule_fails_pareto_with_the_same_witness(seed):
     assert not batched["passed"]
     assert "dominating_index" in batched["witness"]["observed"]
     assert json.dumps(batched) == json.dumps(report_to_dict(check_pareto(scalar(leaky), cfg)))
+
+
+def test_custom_swap_batch_is_never_screened(monkeypatch):
+    def no_screen(self, *args):
+        raise RuntimeError("a custom swap_batch was screened")
+
+    monkeypatch.setattr(_PairBatch, "screen", no_screen)
+    leaky = dataclasses.replace(wgm(0.3), swap_in=leaky_swap_in, swap_batch=leaky_swap_batch)
+    assert _screen_of(leaky) is None
+    cfg = TrialConfig(seed=7, trials=200)
+    batched = reports(leaky, cfg, check_pareto)
+    assert not batched[0]["passed"]
+    assert batched == reports(scalar(leaky), cfg, check_pareto)
+    # A replaced swap_batch alone judges too: its flagged trial does not
+    # replay through wgm's own swap_in.
+    assert _screen_of(dataclasses.replace(wgm(0.3), swap_batch=leaky_swap_batch)) is None
+    with pytest.raises(InternalError):
+        check_pareto(dataclasses.replace(wgm(0.3), swap_batch=leaky_swap_batch), cfg)
+    # replace() keeps a built-in screen; csum's kernel calls no libm, so it has none.
+    rule = product()
+    assert _screen_of(rule) is rule.swap_batch
+    assert _screen_of(constant_sum()) is None
 
 
 def test_csum_with_batch_kernel_matches_reference():
