@@ -459,8 +459,8 @@ def _describe_exit(walk: _Walk) -> str:
             f"{amount!r}) = {walk.failure.tolist()}")
 
 
-def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
-              amount: np.ndarray, screen: bool = False) -> tuple[np.ndarray, np.ndarray, object]:
+def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray,
+              screen: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
     """swap() on every row through rule.swap_batch.
 
     Returns the outputs, a mask of the rows on which swap() returns rather
