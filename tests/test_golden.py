@@ -47,6 +47,9 @@ CASES = [
     ("check_product_tol1e-15.json",
      ["check-axioms", "--rule", "product", "--trials", "2000", "--tolerance", "1e-15",
       "--seed", "7"], 1),
+    ("check_wgm0.3_tol1e-13.json",
+     ["check-axioms", "--rule", "wgm:0.3", "--trials", "2000", "--tolerance", "1e-13",
+      "--seed", "7"], 0),
 ]
 
 
