@@ -366,37 +366,29 @@ def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -
     """Witness inputs of one drawn trial and whether it violates the axiom.
 
     A chain's witness moves run up to and including a failing step, with
-    amounts pinned to the states reached."""
+    amounts pinned to the states reached; a start outside the domain has none."""
     if axiom == "pareto_efficiency":
         steps = (trial["token_in"], trial["token_out"], trial["fractions"])
-        walk = _walk(rule, trial["start"], steps, relative=True)
+        try:
+            walk = _walk(rule, trial["start"], steps, relative=True)
+        except AmmError:
+            return {"start": trial["start"], "moves": []}, True
         inputs = {"start": trial["start"], "moves": [list(move) for move in walk.moves]}
         return inputs, _pareto_verdict(walk)[0]
     return trial, _PREDICATES[axiom](rule, trial, cfg.tolerance)[0]
 
 
 def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> int | None:
-    """Lowest row of a block of drawn trials that violates the axiom, or None.
-
-    A rule with swap_batch is judged a whole block at once; a black-box
-    rule runs one trial at a time through the scalar verdict.  A screen
-    judges first, on rows whose weights do not bound it above the
-    tolerance; swap_batch judges the rows it does not clear.
-    """
+    """Lowest row of a block of drawn trials that violates the axiom, or None:
+    swap_batch judges every row a rule's screen does not clear, and a
+    black-box rule runs one trial at a time through the scalar verdict."""
     rows = len(next(iter(drawn.values())))
     if rule.swap_batch is None:
         return next((k for k in range(rows)
                      if _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))[1]), None)
     judge = _ENGINE[axiom][1]
-    suspect = np.ones(rows, dtype=bool)
-    screen = _screen_of(rule)
-    if screen is not None:
-        # Token symmetry trades 0 -> 1 and its mirror 1 -> 0.
-        i, j = ((drawn["token_in"], drawn["token_out"]) if "token_in" in drawn
-                else np.broadcast_to([[[0, 1]], [[1, 0]]], (2, rows, 2)))
-        hopeful = screen.floor(i, j).reshape(rows, -1).sum(axis=1) <= cfg.tolerance
-        if hopeful.any():
-            suspect[hopeful] = judge(rule, cfg, _take(drawn, hopeful), True)
+    suspect = (judge(rule, cfg, drawn, True) if _screen_of(rule) is not None
+               else np.ones(rows, dtype=bool))
     if not suspect.any():
         return None
     hits = np.flatnonzero(suspect)[judge(rule, cfg, _take(drawn, suspect), False)]

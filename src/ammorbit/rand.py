@@ -36,7 +36,7 @@ _SLAB = 8192
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent generator for one trial of a seeded run."""
-    return np.random.Generator(np.random.Philox(key=(seed ^ trial) & _MASK64))
+    return np.random.Generator(np.random.Philox(key=(int(seed) ^ trial) & _MASK64))
 
 
 def log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
@@ -214,5 +214,5 @@ def _log(values: np.ndarray) -> np.ndarray:
 def trial_draws(seed: int, trials: np.ndarray, words: int = 0) -> Draws:
     """Draws whose row k reads ``trial_rng(seed, trials[k])``, with words
     per row computed up front (more are computed as reads need them)."""
-    keys = np.asarray(trials, dtype=np.uint64) ^ np.uint64(seed & _MASK64)
+    keys = np.asarray(trials, dtype=np.uint64) ^ np.uint64(int(seed) & _MASK64)
     return Draws(keys, words)

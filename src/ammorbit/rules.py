@@ -165,17 +165,9 @@ class _PairBatch:
         out[rows, j] = new_j
         return out
 
-    def floor(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """The least bound screen() gives a trade from i to j: new_i's
-        rounding, scaled by w_i / w_j through the exp argument."""
-        return _SCREEN_ULPS * (1.0 + self.w[i] / self.w[j])
-
     def screen(self, s, i, j, amount) -> tuple[np.ndarray, np.ndarray]:
-        """(out, bound): swap_batch with np.log and np.exp, and a (B, 1) bound
-        e per row, |swap_batch - out| <= e |out| on every coordinate; rows
-        that do not count are NaN.  The exp argument (w_i ln s_i + w_j ln s_j
-        - w_i ln new_i) / w_j, its error too, is at most the sum of |log|s
-        over w_j: e is that, and the exp's ulp, in _SCREEN_ULPS, plus the floor."""
+        """(out, bound): swap_batch with np.log and np.exp, rows it does not
+        vouch for NaN, and a (B, 1) bound e, |swap_batch - out| <= e |out|."""
         logs = []
 
         def log(x):
@@ -185,7 +177,9 @@ class _PairBatch:
 
         with np.errstate(all="ignore"):
             out = self(s, i, j, amount, log, np.exp)
-        bound = (_SCREEN_ULPS * (sum(logs) / self.w[j] + 1.0) + self.floor(i, j))[:, None]
+        # The exp argument's error is at most the sum of |log|s over w_j; new_i
+        # rounds once, and by w_i / w_j through the exp; the exp adds its ulp.
+        bound = (_SCREEN_ULPS * ((sum(logs) + self.w[i]) / self.w[j] + 2.0))[:, None]
         lo, hi = _SCREEN_RANGE
         counts = np.all((out > lo) & (out < hi), axis=1) & (bound[:, 0] < _SCREEN_CAP)
         if not counts.all():

@@ -99,12 +99,13 @@ class TestTrialConfig:
         assert check_unit_invariance(wgm(0.3), cfg).passed
 
     def test_accepts_numpy_integers(self):
-        cfg = TrialConfig(seed=np.uint64(7), trials=np.int64(50), chain_length=np.int32(8))
         ref = TrialConfig(seed=7, trials=50, chain_length=8)
-        assert report_to_dict(check_pareto(wgm(0.3), cfg)) == \
-            report_to_dict(check_pareto(wgm(0.3), ref))
-        assert report_to_dict(check_unit_invariance(constant_sum(), cfg)) == \
-            report_to_dict(check_unit_invariance(constant_sum(), ref))
+        for seed_type in (np.int64, np.int32, np.uint32, np.uint64):
+            cfg = TrialConfig(seed=seed_type(7), trials=np.int64(50), chain_length=np.int32(8))
+            assert report_to_dict(check_pareto(wgm(0.3), cfg)) == \
+                report_to_dict(check_pareto(wgm(0.3), ref))
+            assert report_to_dict(check_unit_invariance(constant_sum(), cfg)) == \
+                report_to_dict(check_unit_invariance(constant_sum(), ref))
 
 
 class TestSoundRulesPass:
@@ -224,6 +225,20 @@ class TestBrokenRuleDetection:
             product(), {"start": [1.0, 1.0], "moves": [[0, 1, 0.5], move]}, 1e-9)
         assert violated
         assert observed.startswith("error at step 2: ")
+
+    def test_start_outside_a_custom_domain_is_a_failed_pareto_trial(self):
+        # As in the other checks: a failed trial, not a raised DomainError.
+        rule = SwapRule("d", 2, wgm(0.3).swap_in, domain=lambda s: bool(s[0] < 1e3))
+        cfg = TrialConfig(trials=50)
+        rep = check_pareto(rule, cfg)
+        assert not rep.passed and rep.witness.inputs["moves"] == []
+        assert rep.witness.inputs["start"][0] >= 1e3
+        assert rep.witness.observed.startswith("error at step 1: ")
+        assert axioms._violates_pareto(rule, rep.witness.inputs, cfg.tolerance)[0]
+        small = shrink(rep, rule)
+        assert small.witness.inputs["moves"] == [] and small.witness.inputs["start"][0] >= 1e3
+        assert [r.axiom for r in check_all(rule, cfg) if not r.passed] == [
+            "validity_invariance", "pareto_efficiency", "unit_invariance", "token_symmetry"]
 
     def test_rule_crash_counts_as_failure(self):
         rep = check_validity_invariance(crashing_rule(), TrialConfig(seed=7, trials=50))

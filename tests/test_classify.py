@@ -76,11 +76,12 @@ class TestOrbitConfig:
 
     def test_accepts_numpy_integers(self):
         starts = [as_reserves([1.0, 1.0]), as_reserves([0.5, 3.0])]
-        got = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=np.uint64(4),
-                                                              samples=np.int64(16)))
         want = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=4, samples=16))
-        assert json.dumps(classification_to_dict(got)) == \
-            json.dumps(classification_to_dict(want))
+        for seed_type in (np.int64, np.int32, np.uint32, np.uint64):
+            got = verify_level_sets(wgm(0.3), starts, OrbitConfig(seed=seed_type(4),
+                                                                  samples=np.int64(16)))
+            assert json.dumps(classification_to_dict(got)) == \
+                json.dumps(classification_to_dict(want))
 
 
 class TestSampleOrbit:
@@ -92,6 +93,12 @@ class TestSampleOrbit:
         phi = np.array([weighted_gmean(s, rule.weights) for s in sample.states])
         assert np.all(np.abs(phi - phi[0]) <= 1e-12 * phi[0])
         assert np.array_equal(sample.log_points, np.log(np.stack(sample.states)))
+
+    def test_accepts_numpy_integer_seed(self):
+        got = sample_orbit(wgm(0.3), as_reserves([2.0, 3.0]), count=16, seed=np.uint32(7))
+        want = sample_orbit(wgm(0.3), as_reserves([2.0, 3.0]), count=16, seed=7)
+        assert np.array_equal(got.states, want.states)
+        assert orbit_to_csv(got) == orbit_to_csv(want)
 
     def test_walk_alternates_input_token(self):
         sample = sample_orbit(wgm(0.5), as_reserves([1.0, 1.0]), count=8, seed=0)

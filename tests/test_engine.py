@@ -183,6 +183,26 @@ def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
     assert calls
 
 
+@pytest.mark.parametrize("text,tolerance", [("wgm:0.3", 1e-13), ("product", 1e-15)])
+def test_a_tight_tolerance_sends_no_validity_or_pareto_row_to_swap_batch(
+        monkeypatch, text, tolerance):
+    # Validity and Pareto verdicts never read the tolerance, so the screen
+    # clears their rows at any tolerance.
+    exact_rows = dict.fromkeys(axioms._ENGINE, 0)
+    for axiom, (draw, judge) in list(axioms._ENGINE.items()):
+        def counted(rule, cfg, drawn, screen, axiom=axiom, judge=judge):
+            if not screen:
+                exact_rows[axiom] += len(next(iter(drawn.values())))
+            return judge(rule, cfg, drawn, screen)
+
+        monkeypatch.setitem(axioms._ENGINE, axiom, (draw, counted))
+    rule = parse_rule(text)
+    cfg = TrialConfig(seed=7, trials=2000, tolerance=tolerance)
+    batched = reports(rule, cfg)
+    assert exact_rows["validity_invariance"] == exact_rows["pareto_efficiency"] == 0
+    assert batched == reports(scalar(rule), cfg)
+
+
 def leaky_swap_in(s, i, j, amount):
     out = s[j] - (s[i] * s[j]) / (s[i] + amount)
     new = np.array(s, dtype=float)
