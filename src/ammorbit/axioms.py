@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (AmmError, ConfigError, InternalError, UsageError, _require_tolerance,
                      require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
-from .rules import SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
+from .rules import _EPS, SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
 from .state import _close_rows, _factors, _positive, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
@@ -117,7 +117,7 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
     return False, out.tolist(), expected
 
 
-def _dominance(chains: np.ndarray, widen=0.0) -> np.ndarray:
+def _dominance(chains: np.ndarray) -> np.ndarray:
     """For chains (B, m, n) of finite states: [b, p, q] is True iff state p
     dominates state q under the 1e-12 margin.
 
@@ -126,21 +126,15 @@ def _dominance(chains: np.ndarray, widen=0.0) -> np.ndarray:
     coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
     symmetric in p and q, so on finite inputs "q is not above p" is
     exactly the test "p - q >= -slack" on every coordinate.
-
-    With widen > 0, (B, 1, 1), each p - q is known within widen times the
-    larger magnitude, and [b, p, q] is True unless q is surely above p on
-    some coordinate, by the margin plus widen, or p is q.
     """
     size = chains.shape[1]
     magnitude = np.abs(chains)
     above = np.zeros((chains.shape[0], size, size), dtype=bool)
     for k in range(chains.shape[2]):
         slack = np.maximum(magnitude[:, :, None, k], magnitude[:, None, :, k])
-        slack *= PARETO_MARGIN + widen
+        slack *= PARETO_MARGIN
         above |= chains[:, :, None, k] - chains[:, None, :, k] > slack
-    dominates = ~above.transpose(0, 2, 1)
-    if not np.any(widen):
-        dominates &= above
+    dominates = above & ~above.transpose(0, 2, 1)
     dominates[:, range(size), range(size)] = False
     return dominates
 
@@ -261,7 +255,8 @@ def _trial(drawn: dict, k: int) -> dict:
 # operations, through swap_rows, which behaves as swap() on each row, so
 # a trial's verdict is the predicate's verdict.  A judge returns the
 # per-trial violation mask; with screen, the rows come from the rule's
-# screen, and a trial is cleared only if it holds with the bound to spare.
+# screen (a chain from its log_chains and _certified), and a trial is
+# cleared only if it holds with the bound to spare.
 
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     out, ok, _ = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
@@ -289,64 +284,81 @@ def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool)
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     i, j, fractions = drawn["token_in"], drawn["token_out"], drawn["fractions"]
+    if screen:
+        batch = _screen_of(rule)
+        return ~_certified(*batch.log_chains(drawn["start"], i, j, fractions), batch.w)
     rows = np.arange(len(i))
     states = np.empty((len(i), cfg.chain_length + 1, rule.dimension))
     states[:, 0] = drawn["start"]
     alive = np.ones(len(i), dtype=bool)
-    # bound is E_k, the relative distance of every coordinate of state k from
-    # the exact chain's.  A chain trades x * s_i of the state it reached, and
-    # new_j = s_j (1 + x)^(-w_i / w_j) does not depend on s_i: in the kernel's
-    # logs the errors of s_i and new_i cancel but for new_i's rounding, scaled
-    # by w_i / w_j.  So E_{k+1} <= E_k + d_k + c eps (1 + w_i / w_j), with d_k
-    # the trade's own error; the screen's bound holds the last two terms.
-    bound = np.zeros((len(i), 1))
     for k in range(cfg.chain_length):
         current = states[:, k]
         amount = fractions[:, k] * current[rows, i[:, k]]
-        nxt, ok, e = swap_rows(rule, current, i[:, k], j[:, k], amount, screen)
-        bound += e
+        nxt, ok, _ = swap_rows(rule, current, i[:, k], j[:, k], amount)
         alive &= ok & (nxt > 0.0).all(axis=1)
         # A broken chain stays on its last valid state; its verdict is final.
         states[:, k + 1] = np.where(alive[:, None], nxt, current)
-    # A difference p - q moves by at most E (|p| + |q|), twice E of the larger.
-    return ~alive | _any_dominance(states, np.flatnonzero(alive), 2.0 * bound)
+    return ~alive | _any_dominance(states, np.flatnonzero(alive))
+
+
+def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Chains, given as logs (B, m, n) within delta (B,) of their states' logs,
+    on which no state dominates another under _dominance.
+
+    If p dominates q, then log q - log p <= mu on every coordinate, and
+    w . (log q - log p) lies within the chain's spread S of w . log; so
+    |log q - log p| <= R = max(mu, (S + mu |w|_1) / min w) on every
+    coordinate, and |v . (log q - log p)| <= |v|_1 R.  A chain whose sorted
+    projections on v are all further apart than that has no such pair.
+    """
+    n = logs.shape[2]
+    # A generic v of mixed signs: v parallel to the positive w would project
+    # a whole orbit to one point.
+    v = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n * math.pi))
+    top = np.maximum(logs.max(axis=(1, 2)), -logs.min(axis=(1, 2)))
+    rounding = 4.0 * n * _EPS * top
+    mu = -math.log1p(-PARETO_MARGIN * (1.0 + 4.0 * _EPS)) + 2.0 * delta
+    # einsum, not a matmul, which would start BLAS and its buffers.
+    level = np.einsum("bmn,n->bm", logs, w)
+    spread = level.max(axis=1) - level.min(axis=1) + 2.0 * delta * w.sum() + rounding
+    reach = np.maximum(mu, (spread + mu * w.sum()) / w.min())
+    projected = np.sort(np.einsum("bmn,n->bm", logs, v), axis=1)
+    gaps = projected[:, 1:] - projected[:, :-1]
+    return np.all(gaps > (np.abs(v).sum() * (reach + rounding))[:, None], axis=1)
 
 
 # Pairwise dominance tests hold chunk x (L+1)^2 floats per temporary.
 _PAIRWISE_CHUNK = 8
 
 
-def _any_dominance(chains: np.ndarray, pending: np.ndarray, widen: np.ndarray) -> np.ndarray:
-    """Whether some state may dominate another, for the pending chains of
-    valid states, known within widen (B, 1) as _dominance takes it.
+def _any_dominance(chains: np.ndarray, pending: np.ndarray) -> np.ndarray:
+    """Whether some state dominates another, for the pending chains of valid states.
 
     Two-token chains that form a strict frontier with room to spare are
     cleared by sorting; every other chain gets the pairwise test.
     """
     if chains.shape[2] == 2:
-        gap = 2.0 * (PARETO_MARGIN + widen)
-        pending = pending[~_strict_frontier(chains[:, :, 0], chains[:, :, 1], gap)[pending]]
+        pending = pending[~_strict_frontier(chains[:, :, 0], chains[:, :, 1])[pending]]
     found = np.zeros(len(chains), dtype=bool)
     for lo in range(0, pending.size, _PAIRWISE_CHUNK):
         part = pending[lo:lo + _PAIRWISE_CHUNK]
-        found[part] = _dominance(chains[part], widen[part, :, None]).any(axis=(1, 2))
+        found[part] = _dominance(chains[part]).any(axis=(1, 2))
     return found
 
 
-def _strict_frontier(x: np.ndarray, y: np.ndarray, gap=2.0 * PARETO_MARGIN) -> np.ndarray:
+def _strict_frontier(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Two-token chains whose states, sorted by x, strictly fall in y.
 
     Requiring every gap in x and in y to exceed twice the dominance
     margin (the factor covers rounding in both tests) is sufficient for
     no pair to dominate under _dominance: gaps add up along the sorted
-    chain.  A chain that fails this may still be clean.  Chains known
-    within a widen of _dominance need gaps over 2 (margin + widen).
+    chain.  A chain that fails this may still be clean.
     """
     order = np.argsort(x, axis=1, kind="stable")
     x = np.take_along_axis(x, order, axis=1)
     y = np.take_along_axis(y, order, axis=1)
-    return (np.all(x[:, 1:] - x[:, :-1] > gap * x[:, 1:], axis=1)
-            & np.all(y[:, :-1] - y[:, 1:] > gap * y[:, :-1], axis=1))
+    return (np.all(x[:, 1:] - x[:, :-1] > 2.0 * PARETO_MARGIN * x[:, 1:], axis=1)
+            & np.all(y[:, :-1] - y[:, 1:] > 2.0 * PARETO_MARGIN * y[:, :-1], axis=1))
 
 
 # Blocks of trials start small, so a rule that fails early costs what a

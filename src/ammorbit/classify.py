@@ -284,6 +284,8 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
             sample = _sample(rule, start, _orbit_directions(2), cfg.samples, cfg.seed ^ k,
                              cfg.amount_range)
             fit = fit_log_line(sample)
+        except ConfigError:
+            raise  # a run that cannot be configured, not an orbit that fails
         except AmmError as exc:
             return fail(f"orbit {k} (start {start.tolist()}): {exc}")
         if fit.slope >= 0.0:
@@ -307,7 +309,9 @@ def verify_level_sets(rule: SwapRule, starts, cfg: OrbitConfig) -> Classificatio
         # Invariant implied by the pooled fit, evaluated along the orbit.
         phi = np.exp(w_hat * logs[:, 0] + (1.0 - w_hat) * logs[:, 1])
         lo, hi = float(np.min(phi)), float(np.max(phi))
-        fits[k] = replace(fits[k], invariant_value=float(np.median(phi)),
+        # np.median's value (phi holds no NaN), without loading numpy.ma.
+        middle = np.sort(phi)[(phi.size - 1) // 2:phi.size // 2 + 1]
+        fits[k] = replace(fits[k], invariant_value=float(middle.mean()),
                           invariant_spread=(hi - lo) / hi)
         if failure is None and fits[k].invariant_spread > cfg.tolerance:
             failure = (f"orbit {k}: implied invariant varies by {fits[k].invariant_spread!r} "

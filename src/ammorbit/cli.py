@@ -24,11 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .axioms import TrialConfig, check_all, report_to_dict, shrink
-from .classify import (OrbitConfig, _orbit_csv, classification_to_dict, sample_orbit,
-                       verify_level_sets)
 from .errors import AmmError, ConfigError, InternalError, SamplingError, UsageError, require_seed
-from .fees import _drift_csv, _fold
 from .rand import trial_draws
 from .rules import parse_rule
 from .state import _row_blocks
@@ -164,7 +160,10 @@ def _require_json(args) -> None:
 _REQUIRED_AXIOMS = frozenset({"validity_invariance", "pareto_efficiency", "unit_invariance"})
 
 
+# Each subcommand imports the one module it runs, so a process loads only that.
 def _cmd_check_axioms(args) -> int:
+    from .axioms import TrialConfig, check_all, report_to_dict, shrink
+
     _require_json(args)
     rule = parse_rule(args.rule)
     cfg = TrialConfig(seed=args.seed, trials=args.trials,
@@ -192,6 +191,8 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import OrbitConfig, classification_to_dict, verify_level_sets
+
     _require_json(args)
     rule = parse_rule(args.rule)
     if rule.dimension != 2:
@@ -218,6 +219,8 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_simulate_fees(args) -> int:
+    from .fees import _drift_csv, _fold
+
     rule = parse_rule(args.rule)
     if args.trades < 0:
         raise UsageError(f"trades must be >= 0, got {args.trades}")
@@ -258,6 +261,8 @@ def _random_trades(seed: int, n: int, count: int) -> tuple[list, list, list]:
 
 
 def _cmd_orbit_export(args) -> int:
+    from .classify import _orbit_csv, sample_orbit
+
     rule = parse_rule(args.rule)
     start = _parse_start(args.start, rule.dimension)
     partial = False

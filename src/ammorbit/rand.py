@@ -82,7 +82,10 @@ def philox_words(keys: np.ndarray, blocks: int, first: int = 0) -> np.ndarray:
     """
     keys = np.asarray(keys, dtype=np.uint64)
     total = keys.size * blocks
-    out = np.empty((total, 4), dtype=np.uint64)
+    try:
+        out = np.empty((total, 4), dtype=np.uint64)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot hold {total} Philox blocks of draws: {exc}") from None
     for lo in range(0, total, _SLAB):
         flat = np.arange(lo, min(lo + _SLAB, total), dtype=np.uint64)
         out[lo:lo + flat.size] = _philox(keys[flat // np.uint64(blocks)],

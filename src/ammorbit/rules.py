@@ -141,7 +141,8 @@ class _PairSwap:
 # times before its exp, so 8 cover a trade; 64 leave an 8x margin.  A row
 # counts only with a bound under 2**-20 and every coordinate within
 # [2**-1000, 2**1000], far from libm's underflow and overflow.
-_SCREEN_ULPS = 64.0 * float(np.finfo(float).eps)
+_EPS = float(np.finfo(float).eps)
+_SCREEN_ULPS = 64.0 * _EPS
 _SCREEN_CAP, _SCREEN_RANGE = 2.0 ** -20, (2.0 ** -1000, 2.0 ** 1000)
 
 
@@ -185,6 +186,32 @@ class _PairBatch:
         if not counts.all():
             out[~counts] = np.nan
         return out, bound
+
+    def log_chains(self, start, i, j, fractions) -> tuple[np.ndarray, np.ndarray]:
+        """(logs, delta): the (B, L + 1, n) logs of the chains from start that
+        trade fractions (B, L) of reserve i into j, and a (B,) bound delta,
+        |log(swap_batch's chain) - logs| <= delta, inf where a chain may leave
+        the screen's range.  A trade of fraction x moves log s by
+        log1p(x) (e_i - (w_i / w_j) e_j) whatever the state, so logs is one
+        cumulative sum; swap_batch's errors add up along it, as new_j depends
+        on s_i only through new_i / s_i."""
+        rows, steps = np.arange(len(i))[:, None], np.arange(1, i.shape[1] + 1)
+        ratio = self.w[i] / self.w[j]
+        step = np.log1p(fractions)
+        logs = np.zeros((len(i), steps.size + 1, self.w.size))
+        logs[:, 0] = np.log(start)
+        logs[rows, steps, i] = step
+        logs[rows, steps, j] = -ratio * step
+        np.cumsum(logs, axis=1, out=logs)
+        top = np.maximum(logs.max(axis=(1, 2)), -logs.min(axis=(1, 2)))
+        # Each trade's error as screen() bounds it, with each of its three
+        # |log|s at most top, then the rounding of np.log, log1p, the ratio
+        # and the sum.
+        delta = _SCREEN_ULPS * (3.0 * top * (1.0 / self.w[j]).sum(axis=1) + ratio.sum(axis=1)
+                                + 2.0 * steps.size)
+        delta += 4.0 * (steps.size + 2) * _EPS * (top + (step * (1.0 + ratio)).sum(axis=1))
+        counts = (top + delta < math.log(_SCREEN_RANGE[1])) & (delta < _SCREEN_CAP)
+        return logs, np.where(counts, delta, math.inf)
 
 
 def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
@@ -253,6 +280,8 @@ def make_rule(spec: RuleSpec) -> SwapRule:
 
 def parse_rule(text: str) -> SwapRule:
     """Parse 'wgm:<w>' | 'product' | 'csum' | 'wprod:<w1>,<w2>,...'."""
+    if not isinstance(text, str):
+        raise ConfigError(f"a rule spec must be a string, got {text!r}")
     text = text.strip()
     if text in ("product", "csum"):
         spec = RuleSpec(text)

@@ -52,6 +52,14 @@ class TestExitCodes:
         rc = cli.main(["check-axioms", "--rule", "wgm:0.5", "--format", "csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["orbit-export", "classify"])
+    def test_more_samples_than_draws_can_hold_exits_two(self, command, capsys):
+        # Refused where the draws are sized, before any allocation.
+        assert cli.main([command, "--rule", "wgm:0.5", "--samples", str(10**20)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot hold ")
+
 
 class TestCheckAxiomsPayload:
     def test_schema(self, tmp_path):
@@ -309,6 +317,48 @@ class TestStdoutWriteFailure:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: cannot write stdout: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+class TestStartUp:
+    """A process loads only what its subcommand runs."""
+
+    @staticmethod
+    def loaded(code: str) -> list[str]:
+        """The ammorbit submodules, and numpy.ma, that a fresh interpreter
+        running code has loaded."""
+        probe = ("import sys\nprint(' '.join(sorted(m for m in sys.modules"
+                 " if m.startswith('ammorbit.') or m == 'numpy.ma')))")
+        proc = subprocess.run([sys.executable, "-c", code + "\n" + probe],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_package_import_loads_no_submodule(self):
+        assert self.loaded("import ammorbit") == []
+
+    def test_cli_import_loads_no_subcommand_module(self):
+        assert not {"ammorbit.axioms", "ammorbit.classify", "ammorbit.fees"} & set(
+            self.loaded("import ammorbit.cli"))
+
+    @pytest.mark.parametrize("argv,module", [
+        (["check-axioms", "--rule", "wgm:0.5", "--trials", "10"], "ammorbit.axioms"),
+        (["classify", "--rule", "wgm:0.5", "--orbits", "2", "--samples", "16"],
+         "ammorbit.classify"),
+        (["simulate-fees", "--rule", "product", "--phi", "0.003", "--trades", "10"],
+         "ammorbit.fees"),
+        (["orbit-export", "--rule", "wgm:0.5", "--samples", "16"], "ammorbit.classify"),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_each_subcommand_loads_only_its_own_module(self, argv, module, tmp_path):
+        argv = argv + ["--output", str(tmp_path / "out")]
+        loaded = self.loaded(f"import ammorbit.cli\nammorbit.cli.main({argv!r})")
+        subcommand_modules = {"ammorbit.axioms", "ammorbit.classify", "ammorbit.fees"}
+        assert subcommand_modules & set(loaded) == {module}
+        assert "numpy.ma" not in loaded
+
+    def test_star_import_binds_every_public_name(self):
+        code = ("import ammorbit\nfrom ammorbit import *\n"
+                "assert all(name in globals() for name in ammorbit.__all__)")
+        self.loaded(code)
 
 
 class TestProcessEntryPoint:

@@ -15,9 +15,10 @@ from ammorbit import (AmmError, ConfigError, DomainError, DriftSeries, Malformed
                       OrbitConfig, OrbitSample, RuleSpec, SwapRule, TrialConfig, UsageError,
                       as_reserves, as_weights, chain, check_slices, decompose_check,
                       drift_to_csv, exp_map, fee_drift, fee_swap, fit_log_hyperplane,
-                      fit_log_line, make_rule, orbit_to_csv, out_amount, pareto_geq, product,
-                      sample_orbit, scale, scaling_factor, swap, verify_level_sets,
-                      weight_from_slope, weighted_gmean, weighted_product)
+                      fit_log_line, make_rule, orbit_to_csv, out_amount, pareto_geq,
+                      parse_rule, product, sample_orbit, scale, scaling_factor, swap,
+                      verify_level_sets, weight_from_slope, weighted_gmean, weighted_product,
+                      wgm)
 from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
@@ -103,6 +104,12 @@ MALFORMED = [
     ("orbit_to_csv ragged", lambda: orbit_to_csv(OrbitSample("r", (1, 1), ((1, 1), (2,)),
                                                              ((0, 0), (0.7, -0.7)), 0)),
      MalformedInputError),
+    ("parse_rule int", lambda: parse_rule(5), ConfigError),
+    ("parse_rule None", lambda: parse_rule(None), ConfigError),
+    ("parse_rule bytes", lambda: parse_rule(b"product"), ConfigError),
+    # More draws than an array can hold: refused before any allocation.
+    ("sample_orbit huge count", lambda: sample_orbit(wgm(0.5), [1, 1], count=10**20),
+     ConfigError),
     ("orbit_to_csv short log points", lambda: orbit_to_csv(OrbitSample("r", (1, 1),
                                                                        ((1, 1), (2, 0.5)),
                                                                        ((0, 0),), 0)),

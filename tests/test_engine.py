@@ -6,10 +6,13 @@ predicates.  Both must give identical reports, down to the witness.
 """
 
 import dataclasses
+import decimal
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ammorbit import (
     InternalError,
@@ -28,7 +31,7 @@ from ammorbit import (
 )
 from ammorbit import axioms
 from ammorbit.rand import log_uniform, trial_draws, trial_rng
-from ammorbit.rules import _PairBatch, _screen_of
+from ammorbit.rules import _PairBatch, _screen_of, swap_rows
 
 RULES = [f"wgm:{w}" for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)] + [
     "wgm:1e-6", "product", "wprod:0.2,0.3,0.5"]
@@ -167,27 +170,33 @@ OVERFLOW = {"state_range": (BIG, BIG), "amount_range": (1e-300, 1e-300)}
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
     text, seed, ranges, check = case
+    # Each screened row moves by its bound, and each screened chain's logs
+    # by its delta, with random signs per coordinate.
     rng = trial_rng(seed, 99)
-    calls = []
-    true_screen = _PairBatch.screen
+    calls, chain_calls = [], []
+    true_screen, true_chains = _PairBatch.screen, _PairBatch.log_chains
 
     def perturbed(self, s, i, j, amount):
         out, bound = true_screen(self, s, i, j, amount)
         calls.append(len(s))
         return out * (1.0 + rng.choice([-1.0, 1.0], out.shape) * bound), bound
 
+    def perturbed_chains(self, start, i, j, fractions):
+        logs, delta = true_chains(self, start, i, j, fractions)
+        chain_calls.append(len(start))
+        shift = np.where(np.isfinite(delta), delta, 0.0)[:, None, None]
+        return logs + rng.choice([-1.0, 1.0], logs.shape) * shift, delta
+
     monkeypatch.setattr(_PairBatch, "screen", perturbed)
+    monkeypatch.setattr(_PairBatch, "log_chains", perturbed_chains)
     rule = parse_rule(text)
     cfg = TrialConfig(seed=seed, trials=300, **ranges)
     assert reports(rule, cfg, check) == reports(scalar(rule), cfg, check)
-    assert calls
+    assert calls and (chain_calls or check is not check_all)
 
 
-@pytest.mark.parametrize("text,tolerance", [("wgm:0.3", 1e-13), ("product", 1e-15)])
-def test_a_tight_tolerance_sends_no_validity_or_pareto_row_to_swap_batch(
-        monkeypatch, text, tolerance):
-    # Validity and Pareto verdicts never read the tolerance, so the screen
-    # clears their rows at any tolerance.
+def counted_exact_rows(monkeypatch) -> dict:
+    """Rows each axiom's judge sees on the exact path, counted as the run goes."""
     exact_rows = dict.fromkeys(axioms._ENGINE, 0)
     for axiom, (draw, judge) in list(axioms._ENGINE.items()):
         def counted(rule, cfg, drawn, screen, axiom=axiom, judge=judge):
@@ -196,11 +205,28 @@ def test_a_tight_tolerance_sends_no_validity_or_pareto_row_to_swap_batch(
             return judge(rule, cfg, drawn, screen)
 
         monkeypatch.setitem(axioms._ENGINE, axiom, (draw, counted))
+    return exact_rows
+
+
+@pytest.mark.parametrize("text,tolerance", [("wgm:0.3", 1e-13), ("product", 1e-15)])
+def test_a_tight_tolerance_sends_no_validity_or_pareto_row_to_swap_batch(
+        monkeypatch, text, tolerance):
+    # Validity and Pareto verdicts never read the tolerance, so the screen
+    # clears their rows at any tolerance.
+    exact_rows = counted_exact_rows(monkeypatch)
     rule = parse_rule(text)
     cfg = TrialConfig(seed=7, trials=2000, tolerance=tolerance)
     batched = reports(rule, cfg)
     assert exact_rows["validity_invariance"] == exact_rows["pareto_efficiency"] == 0
     assert batched == reports(scalar(rule), cfg)
+
+
+@pytest.mark.parametrize("text", ["wgm:0.3", "product", "wprod:0.2,0.3,0.5"])
+def test_the_certificate_clears_every_pareto_chain_at_the_default_tolerance(monkeypatch, text):
+    exact_rows = counted_exact_rows(monkeypatch)
+    for seed in SEEDS:
+        assert check_pareto(parse_rule(text), TrialConfig(seed=seed, trials=2000)).passed
+    assert exact_rows["pareto_efficiency"] == 0
 
 
 def leaky_swap_in(s, i, j, amount):
@@ -353,3 +379,116 @@ def test_sorted_frontier_never_clears_a_dominated_chain():
     dominated = axioms._dominance(chains).any(axis=(1, 2))
     assert not np.any(cleared & dominated)
     assert np.any(cleared) and np.any(dominated)
+
+
+# The screened Pareto judge: a chain's logs in one cumulative sum, within
+# delta of the exact chain's, and the invariant-window certificate on them.
+
+def exact_chains(rule: SwapRule, drawn: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The states of each drawn chain as the exact judge walks them, through
+    swap_batch, and whether every step stayed valid."""
+    i, j, x = drawn["token_in"], drawn["token_out"], drawn["fractions"]
+    rows = np.arange(len(i))
+    states = [np.asarray(drawn["start"], dtype=float)]
+    alive = np.ones(len(i), dtype=bool)
+    for k in range(i.shape[1]):
+        current = states[-1]
+        out, ok, _ = swap_rows(rule, current, i[:, k], j[:, k], x[:, k] * current[rows, i[:, k]])
+        alive &= ok & (out > 0.0).all(axis=1)
+        states.append(np.where(alive[:, None], out, current))
+    return np.stack(states, axis=1), alive
+
+
+def certified(rule: SwapRule, drawn: dict) -> np.ndarray:
+    batch = _screen_of(rule)
+    logs, delta = batch.log_chains(drawn["start"], drawn["token_in"], drawn["token_out"],
+                                   drawn["fractions"])
+    return axioms._certified(logs, delta, batch.w)
+
+
+def flagged(rule: SwapRule, drawn: dict) -> np.ndarray:
+    cfg = TrialConfig(chain_length=drawn["fractions"].shape[1])
+    return axioms._judge_chains(rule, cfg, drawn, False)
+
+
+def test_certificate_never_clears_a_near_return_chain_the_exact_judge_flags():
+    # Trade x from i to j, then y back from j to i with log1p(y) =
+    # (w_i / w_j) log1p(x) + e: the chain returns to its start but for e on
+    # coordinate j and -e w_j / w_i on i.  With |e| a few margins, rounding
+    # decides whether the return dominates the start.
+    cleared_any = flagged_any = False
+    for text in ("wgm:0.3", "product", "wprod:0.2,0.3,0.5"):
+        rule = parse_rule(text)
+        w, n, count = rule.weights, rule.dimension, 4000
+        rng = trial_rng(2032, n)
+        i = rng.integers(0, n, count)
+        j = (i + rng.integers(1, n, count)) % n
+        x = log_uniform(rng, 1e-3, 1.0, count)
+        e = rng.choice([-1.0, 1.0], count) * log_uniform(rng, 1e-14, 1e-6, count)
+        y = np.expm1(np.log1p(x) * w[i] / w[j] + e)
+        drawn = {"start": log_uniform(rng, 1e-6, 1e6, (count, n)),
+                 "token_in": np.stack([i, j], axis=1), "token_out": np.stack([j, i], axis=1),
+                 "fractions": np.stack([x, y], axis=1)}
+        cleared, bad = certified(rule, drawn), flagged(rule, drawn)
+        assert not np.any(cleared & bad), text
+        cleared_any |= bool(cleared.any())
+        flagged_any |= bool(bad.any())
+    assert cleared_any and flagged_any
+
+
+EXTREME = (1e-300, 1e300)
+
+
+@pytest.mark.parametrize("weights,state_range,amount_range", [
+    *[(w, EXTREME, amounts) for w in ([0.3, 0.7], [1e-6, 1.0 - 1e-6], [0.2, 0.3, 0.5],
+                                      [1e-6, 0.5, 0.5 - 1e-6])
+      for amounts in ((1e-30, 1e30), (1e-40, 1e-10))],
+    # Chains trading into a 1e-6 weight stay in range only for tiny trades.
+    ([1e-6, 1.0 - 1e-6], (1e-6, 1e6), (1e-40, 1e-10)),
+], ids=str)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_log_chains_are_within_an_eighth_of_delta_of_the_exact_logs(weights, state_range,
+                                                                      amount_range):
+    # The exact chain's states logged at 50 digits, so the oracle adds no
+    # rounding of its own.  At weights near 0, few chains are vouched for.
+    rule = weighted_product(weights)
+    cfg = TrialConfig(chain_length=8, state_range=state_range, amount_range=amount_range)
+    trials = np.arange(2000)
+    drawn = axioms._draw_chain(trial_draws(11, trials), trials, cfg, rule.dimension)
+    logs, delta = _screen_of(rule).log_chains(drawn["start"], drawn["token_in"],
+                                              drawn["token_out"], drawn["fractions"])
+    states, alive = exact_chains(rule, drawn)
+    vouched = np.flatnonzero(np.isfinite(delta))
+    assert alive[vouched].all()
+    ln = decimal.Context(prec=50).ln
+    worst = 0.0
+    for b in vouched[:40].tolist():
+        distance = max(abs(float(ln(decimal.Decimal(value)) - decimal.Decimal(u)))
+                       for value, u in zip(states[b].ravel().tolist(), logs[b].ravel().tolist()))
+        worst = max(worst, distance / delta[b])
+    assert 0.0 < worst <= 1.0 / 8.0
+    assert vouched.size
+
+
+CERTIFIED = [wgm(0.3), product(), wgm(1e-6), weighted_product([0.2, 0.3, 0.5]),
+             weighted_product([0.1, 0.2, 0.3, 0.4])]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_certified_chain_has_no_dominating_pair_on_the_exact_path(data):
+    rule = data.draw(st.sampled_from(CERTIFIED), label="rule")
+    n = rule.dimension
+    length = data.draw(st.integers(1, 8), label="length")
+    exponents = st.floats(-700.0, 700.0)
+    start = np.exp(data.draw(st.lists(exponents, min_size=n, max_size=n), label="start"))
+    x = np.exp(data.draw(st.lists(st.floats(-90.0, 70.0), min_size=length, max_size=length),
+                         label="fraction exponents"))
+    i = np.array(data.draw(st.lists(st.integers(0, n - 1), min_size=length, max_size=length),
+                           label="token_in"))
+    j = (i + np.array(data.draw(st.lists(st.integers(1, n - 1), min_size=length,
+                                         max_size=length), label="offsets"))) % n
+    drawn = {"start": start[None], "token_in": i[None], "token_out": j[None],
+             "fractions": x[None]}
+    if certified(rule, drawn)[0]:
+        assert not flagged(rule, drawn)[0]

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ammorbit import InternalError, cli, drift_to_csv, orbit_to_csv, parse_rule, sample_orbit
+from ammorbit import (InternalError, classify, cli, drift_to_csv, fees, orbit_to_csv, parse_rule,
+                      sample_orbit)
 from ammorbit.fees import _fold
 
 
@@ -189,7 +190,7 @@ class TestBlocks:
 
     def test_csv_blocks(self):
         sample = sample_orbit(parse_rule("wgm:0.5"), [1.0, 1.0], 2499, seed=5)
-        blocks = list(cli._orbit_csv(sample))
+        blocks = list(classify._orbit_csv(sample))
         assert [block.count("\n") for block in blocks] == [1, 1024, 1024, 452]
 
     def test_json_row_blocks(self):
@@ -228,7 +229,7 @@ class TestNonFiniteExports:
     however far into the output it sits."""
 
     def poisoned_fold(self, monkeypatch, where):
-        real = cli._fold
+        real = fees._fold
 
         def fold(*args, **kwargs):
             series, walk = real(*args, **kwargs)
@@ -243,7 +244,7 @@ class TestNonFiniteExports:
                                       invariant_values=np.array(values))
             return series, walk
 
-        monkeypatch.setattr(cli, "_fold", fold)
+        monkeypatch.setattr(fees, "_fold", fold)
 
     @pytest.mark.parametrize("where", ["states", "invariant_values"])
     def test_fee_json_writes_nothing(self, where, monkeypatch, tmp_path, capsys):
@@ -259,11 +260,11 @@ class TestNonFiniteExports:
         assert not path.exists()
 
 
-def serialization_peak(argv, producer: str) -> tuple[int, int]:
-    """Peak traced memory from the call of cli.<producer> to the last block
+def serialization_peak(argv, module, producer: str) -> tuple[int, int]:
+    """Peak traced memory from the call of module.<producer> to the last block
     written, and the length of the text; the blocks go to a sink that keeps
     only their length."""
-    real_producer, real_emit = getattr(cli, producer), cli._emit
+    real_producer, real_emit = getattr(module, producer), cli._emit
     seen = {}
 
     def traced(*args):
@@ -275,12 +276,12 @@ def serialization_peak(argv, producer: str) -> tuple[int, int]:
         seen["peak"] = tracemalloc.get_traced_memory()[1]
 
     try:
-        setattr(cli, producer, traced)
+        setattr(module, producer, traced)
         cli._emit = sink
         assert cli.main(argv) == 0
     finally:
         tracemalloc.stop()
-        setattr(cli, producer, real_producer)
+        setattr(module, producer, real_producer)
         cli._emit = real_emit
     return seen["peak"], seen["text"]
 
@@ -293,12 +294,12 @@ class TestExportMemory:
     def test_fee_json_payload(self):
         peak, text = serialization_peak(
             ["simulate-fees", "--rule", "product", "--phi", "0.003", "--trades", "10000",
-             "--format", "json"], "_json_payload")
+             "--format", "json"], cli, "_json_payload")
         assert text > 1_300_000
         assert peak < 0.5 * text
 
     def test_orbit_csv(self):
         peak, text = serialization_peak(
-            ["orbit-export", "--rule", "wgm:0.5", "--samples", "30000"], "_orbit_csv")
+            ["orbit-export", "--rule", "wgm:0.5", "--samples", "30000"], classify, "_orbit_csv")
         assert text > 2_000_000
         assert peak < 0.5 * text
