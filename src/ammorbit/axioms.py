@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (AmmError, ConfigError, InternalError, UsageError, _require_tolerance,
-                     require_integer, require_range, require_seed)
+from .errors import (AmmError, ConfigError, InternalError, MalformedInputError, UsageError,
+                     _require_tolerance, is_real, require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
 from .rules import _EPS, SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
 from .state import _close_rows, _factors, _positive, as_reserves, rel_close
@@ -208,6 +208,11 @@ _PREDICATES: dict[str, Callable[[SwapRule, dict, float], tuple[bool, object, obj
     "token_symmetry": _violates_token_symmetry,
 }
 
+_WITNESS_INPUTS = {"validity_invariance": ("state", "token_in", "token_out", "amount"),
+                   "pareto_efficiency": ("start", "moves"),
+                   "unit_invariance": ("state", "factors", "token_in", "token_out", "amount"),
+                   "token_symmetry": ("state", "amount")}
+
 
 # Trial draws.  Each trial draws from its own Philox stream, keyed
 # seed xor trial, in a fixed order that is part of the report format.
@@ -250,13 +255,14 @@ def _trial(drawn: dict, k: int) -> dict:
     return {key: column[k].tolist() for key, column in drawn.items()}
 
 
-# Batch verdicts.  For a rule with swap_batch, each judge evaluates a
-# block of drawn trials at once with the predicates' own float
-# operations, through swap_rows, which behaves as swap() on each row, so
-# a trial's verdict is the predicate's verdict.  A judge returns the
-# per-trial violation mask; with screen, the rows come from the rule's
-# screen (a chain from its log_chains and _certified), and a trial is
-# cleared only if it holds with the bound to spare.
+# Batch verdicts.  For a rule with swap_batch, the validity, unit and
+# symmetry judges evaluate a block of drawn trials at once with the
+# predicates' own float operations, through swap_rows, which behaves as
+# swap() on each row, so a trial's verdict is the predicate's verdict.
+# A judge returns the per-trial violation mask; with screen, the rows come
+# from the rule's screen (a chain from its log_chains and _certified), and
+# a trial is cleared only if it holds with the bound to spare.  A chain the
+# screen does not clear is walked one at a time by _walk, as its witness is.
 
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     out, ok, _ = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
@@ -283,22 +289,12 @@ def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool)
 
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
-    i, j, fractions = drawn["token_in"], drawn["token_out"], drawn["fractions"]
     if screen:
         batch = _screen_of(rule)
-        return ~_certified(*batch.log_chains(drawn["start"], i, j, fractions), batch.w)
-    rows = np.arange(len(i))
-    states = np.empty((len(i), cfg.chain_length + 1, rule.dimension))
-    states[:, 0] = drawn["start"]
-    alive = np.ones(len(i), dtype=bool)
-    for k in range(cfg.chain_length):
-        current = states[:, k]
-        amount = fractions[:, k] * current[rows, i[:, k]]
-        nxt, ok, _ = swap_rows(rule, current, i[:, k], j[:, k], amount)
-        alive &= ok & (nxt > 0.0).all(axis=1)
-        # A broken chain stays on its last valid state; its verdict is final.
-        states[:, k + 1] = np.where(alive[:, None], nxt, current)
-    return ~alive | _any_dominance(states, np.flatnonzero(alive))
+        return ~_certified(*batch.log_chains(drawn["start"], drawn["token_in"],
+                                             drawn["token_out"], drawn["fractions"]), batch.w)
+    return np.array([_scalar_verdict(rule, cfg, "pareto_efficiency", _trial(drawn, k))[1]
+                     for k in range(len(drawn["start"]))], dtype=bool)
 
 
 def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -325,40 +321,6 @@ def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray
     projected = np.sort(np.einsum("bmn,n->bm", logs, v), axis=1)
     gaps = projected[:, 1:] - projected[:, :-1]
     return np.all(gaps > (np.abs(v).sum() * (reach + rounding))[:, None], axis=1)
-
-
-# Pairwise dominance tests hold chunk x (L+1)^2 floats per temporary.
-_PAIRWISE_CHUNK = 8
-
-
-def _any_dominance(chains: np.ndarray, pending: np.ndarray) -> np.ndarray:
-    """Whether some state dominates another, for the pending chains of valid states.
-
-    Two-token chains that form a strict frontier with room to spare are
-    cleared by sorting; every other chain gets the pairwise test.
-    """
-    if chains.shape[2] == 2:
-        pending = pending[~_strict_frontier(chains[:, :, 0], chains[:, :, 1])[pending]]
-    found = np.zeros(len(chains), dtype=bool)
-    for lo in range(0, pending.size, _PAIRWISE_CHUNK):
-        part = pending[lo:lo + _PAIRWISE_CHUNK]
-        found[part] = _dominance(chains[part]).any(axis=(1, 2))
-    return found
-
-
-def _strict_frontier(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Two-token chains whose states, sorted by x, strictly fall in y.
-
-    Requiring every gap in x and in y to exceed twice the dominance
-    margin (the factor covers rounding in both tests) is sufficient for
-    no pair to dominate under _dominance: gaps add up along the sorted
-    chain.  A chain that fails this may still be clean.
-    """
-    order = np.argsort(x, axis=1, kind="stable")
-    x = np.take_along_axis(x, order, axis=1)
-    y = np.take_along_axis(y, order, axis=1)
-    return (np.all(x[:, 1:] - x[:, :-1] > 2.0 * PARETO_MARGIN * x[:, 1:], axis=1)
-            & np.all(y[:, :-1] - y[:, 1:] > 2.0 * PARETO_MARGIN * y[:, :-1], axis=1))
 
 
 # Blocks of trials start small, so a rule that fails early costs what a
@@ -392,7 +354,7 @@ def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -
 
 def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> int | None:
     """Lowest row of a block of drawn trials that violates the axiom, or None:
-    swap_batch judges every row a rule's screen does not clear, and a
+    the exact judge takes every row a rule's screen does not clear, and a
     black-box rule runs one trial at a time through the scalar verdict."""
     rows = len(next(iter(drawn.values())))
     if rule.swap_batch is None:
@@ -501,12 +463,12 @@ _BISECT_STEPS = 100
 
 
 def _toward_one(value: float) -> float:
-    """One geometric-midpoint step toward 1; snaps to the limit on stall.
+    """One geometric-midpoint step toward 1; snaps to 1 on a stall or from a value not > 0.
 
     sqrt can round back onto its argument one ulp away from 1, so the
     chain's limit point is offered as the final candidate.
     """
-    stepped = math.sqrt(value)
+    stepped = math.sqrt(value) if value > 0.0 else 1.0
     if stepped == value and value != 1.0:
         return 1.0
     return stepped
@@ -542,22 +504,33 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
     """Minimize a failing witness; the violation is preserved at every step."""
     if report.passed or report.witness is None:
         raise UsageError("only failed reports can be shrunk")
+    if report.axiom not in _PREDICATES:
+        raise UsageError(f"no axiom is named {report.axiom!r}")
     predicate = _PREDICATES[report.axiom]
     tol = report.tolerance
     inputs = dict(report.witness.inputs)
+    # Witness slots (key, index) in visiting order: coordinates and factors,
+    # then the scalar amount (index None) and each move's amount.
+    keys = _WITNESS_INPUTS[report.axiom]
+    try:
+        slots = [(key, index) for key in ("state", "start", "factors", "amount", "moves")
+                 if key in keys
+                 for index in ([None] if key == "amount" else range(len(inputs[key])))]
+        values = [inputs[key] if index is None else inputs[key][index] for key, index in slots]
+        values = [v if key != "moves" else v[2] if len(v) == 3 else None
+                  for (key, _), v in zip(slots, values)]
+    except (TypeError, KeyError):
+        values = [None]
+    if not (inputs.keys() >= set(keys) and all(map(is_real, values))):
+        raise MalformedInputError(f"a {report.axiom} witness needs {', '.join(keys)}, real "
+                                  "coordinates, factors and amounts, and moves of three values")
+    coords = [(key, index) for key, index in slots if key not in ("amount", "moves")]
 
     def violates(candidate: dict) -> bool:
         return predicate(rule, candidate, tol)[0]
 
     if not violates(inputs):
         raise UsageError("witness does not replay; refusing to shrink a stale report")
-
-    # Witness slots (key, index) in visiting order: coordinates and factors,
-    # then the scalar amount (index None) and each move's amount.
-    slots = [(key, index) for key in ("state", "start", "factors", "amount", "moves")
-             if key in inputs
-             for index in ([None] if key == "amount" else range(len(inputs[key])))]
-    coords = [(key, index) for key, index in slots if key not in ("amount", "moves")]
 
     for _ in range(_MAX_PASSES):
         changed = False

@@ -30,6 +30,7 @@ from .errors import (
     read_float,
     require_integer,
     require_range,
+    require_real,
     require_seed,
 )
 from .rand import trial_draws
@@ -413,6 +414,7 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
 
 def check_equal_weights(fit: HyperplaneFit, tol: float) -> bool:
     """True iff every fitted weight matches 1/n within tol."""
+    require_real("tol", tol)
     w = np.asarray(fit.weights, dtype=float)
     return bool(np.max(np.abs(w - 1.0 / w.size)) <= tol)
 

@@ -22,7 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (AmmError, ChainError, ConfigError, DomainError, InternalError,
-                     MalformedInputError, NumericError, UsageError, read_float, require_real)
+                     MalformedInputError, NumericError, UsageError, read_float, require_integer,
+                     require_real)
 from .state import _freeze, _positive, as_reserves, as_weights, is_valid, weighted_gmean
 
 Move = tuple[int, int, float]
@@ -42,8 +43,10 @@ class SwapRule:
     with a non-finite row where swap_in would raise.  A rule that sets
     it must keep the default positive-orthant domain: the batch path
     checks states itself, never calls domain, and passes only rows that
-    swap() accepts.  The conformance checks use it when present and run
-    one trial at a time through swap() when it is None.
+    swap() accepts.  The validity, unit and symmetry checks use it when
+    present and run one trial at a time through swap() when it is None.
+    Pareto chains the certificate does not clear, and all chains of an
+    unscreened rule, are walked one at a time through swap(), as witnesses are.
     """
 
     name: str
@@ -53,6 +56,11 @@ class SwapRule:
     domain: Callable[[np.ndarray], bool] = field(default=is_valid, repr=False)
     swap_batch: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None = (
         field(default=None, repr=False))
+
+    def __post_init__(self):
+        require_integer("dimension", self.dimension)
+        if self.dimension < 2:
+            raise ConfigError(f"dimension must be >= 2, got {self.dimension}")
 
     def invariant(self, s) -> float:
         """Value of the rule's conserved quantity at s, if it declares one."""

@@ -299,6 +299,16 @@ class TestShrinking:
         with pytest.raises(UsageError):
             shrink(rep, wgm(0.5))
 
+    def test_shrink_offers_one_for_a_negative_coordinate(self):
+        # A hand-edited witness: sqrt has no step from -1.0, so 1.0 is its
+        # candidate, taken once the other coordinate reaches 1.0.
+        inputs = {"state": [-1.0, 2.0], "token_in": 0, "token_out": 1, "amount": 1.0}
+        rep = axioms.AxiomReport("validity_invariance", "csum", 1, False,
+                                 axioms.Witness(inputs, None, None, 0, 0), 1e-9)
+        small = shrink(rep, constant_sum())
+        assert small.witness.inputs == {**inputs, "state": [1.0, 1.0]}
+        assert small.witness.observed == [2.0, 0.0]
+
 
 class TestReports:
     def test_dict_shape_and_prng_tag(self):

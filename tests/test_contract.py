@@ -11,14 +11,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ammorbit import (AmmError, ConfigError, DomainError, DriftSeries, MalformedInputError,
-                      OrbitConfig, OrbitSample, RuleSpec, SwapRule, TrialConfig, UsageError,
-                      as_reserves, as_weights, chain, check_slices, decompose_check,
-                      drift_to_csv, exp_map, fee_drift, fee_swap, fit_log_hyperplane,
-                      fit_log_line, make_rule, orbit_to_csv, out_amount, pareto_geq,
-                      parse_rule, product, sample_orbit, scale, scaling_factor, swap,
-                      verify_level_sets, weight_from_slope, weighted_gmean, weighted_product,
-                      wgm)
+from ammorbit import (AmmError, AxiomReport, ConfigError, DomainError, DriftSeries,
+                      HyperplaneFit, MalformedInputError, OrbitConfig, OrbitSample, RuleSpec,
+                      SwapRule, TrialConfig, UsageError, Witness, as_reserves, as_weights, chain,
+                      check_all, check_equal_weights, check_slices, constant_sum,
+                      decompose_check, drift_to_csv, exp_map, fee_drift, fee_swap,
+                      fit_log_hyperplane, fit_log_line, make_rule, orbit_to_csv, out_amount,
+                      pareto_geq, parse_rule, product, sample_orbit, scale, scaling_factor,
+                      shrink, swap, verify_level_sets, weight_from_slope, weighted_gmean,
+                      weighted_product, wgm)
 from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
@@ -53,6 +54,15 @@ BIG = 10**400  # an int beyond float range
 WPROD = RuleSpec("wprod", weights=(0.2, 0.3, 0.5))
 # A 3-token rule that declares two weights.
 SHORT_WEIGHTS = SwapRule("short", 3, make_rule(WPROD).swap_in, weights=np.array([0.5, 0.5]))
+
+
+def _shrink_edited(axiom="validity_invariance", drop=(), **changed):
+    """shrink() on a hand-edited failed report of csum, without the inputs in drop."""
+    inputs = {"state": [1.0, 1.0], "token_in": 0, "token_out": 1, "amount": 1.0} if (
+        axiom != "pareto_efficiency") else {"start": [1.0, 1.0], "moves": [[0, 1, 1.0]]}
+    inputs = {key: value for key, value in {**inputs, **changed}.items() if key not in drop}
+    report = AxiomReport(axiom, "csum", 1, False, Witness(inputs, None, None, 0, 0), 1e-9)
+    return shrink(report, constant_sum())
 
 # Caller input that once escaped as a raw TypeError, ValueError or
 # OverflowError, or passed unchecked, and the AmmError it must raise.
@@ -114,6 +124,26 @@ MALFORMED = [
                                                                        ((1, 1), (2, 0.5)),
                                                                        ((0, 0),), 0)),
      MalformedInputError),
+    ("shrink unknown axiom", lambda: _shrink_edited("nope"), UsageError),
+    ("shrink witness without token_in", lambda: _shrink_edited(drop=["token_in"]),
+     MalformedInputError),
+    ("shrink str state", lambda: _shrink_edited(state="ab"), MalformedInputError),
+    ("shrink str factors", lambda: _shrink_edited("unit_invariance", factors=["a", "b"]),
+     MalformedInputError),
+    ("shrink str amount", lambda: _shrink_edited(amount="x"), MalformedInputError),
+    ("shrink moves None", lambda: _shrink_edited("pareto_efficiency", moves=None),
+     MalformedInputError),
+    ("shrink two-value move", lambda: _shrink_edited("pareto_efficiency", moves=[[0, 1]]),
+     MalformedInputError),
+    ("shrink str move amount",
+     lambda: _shrink_edited("pareto_efficiency", moves=[[0, 1, "x"]]), MalformedInputError),
+    ("SwapRule dimension 0", lambda: check_all(SwapRule("x", 0, product().swap_in),
+                                               TrialConfig(trials=8)), ConfigError),
+    ("SwapRule dimension 1", lambda: SwapRule("x", 1, product().swap_in), ConfigError),
+    ("SwapRule float dimension", lambda: SwapRule("x", 2.0, product().swap_in), ConfigError),
+    ("check_equal_weights str tol",
+     lambda: check_equal_weights(HyperplaneFit(np.ones(2), 0.0, np.full(2, 0.5), 0.0), "x"),
+     ConfigError),
 ]
 
 

@@ -279,15 +279,27 @@ def test_custom_swap_batch_is_never_screened(monkeypatch):
     batched = reports(leaky, cfg, check_pareto)
     assert not batched[0]["passed"]
     assert batched == reports(scalar(leaky), cfg, check_pareto)
-    # A replaced swap_batch alone judges too: its flagged trial does not
-    # replay through wgm's own swap_in.
-    assert _screen_of(dataclasses.replace(wgm(0.3), swap_batch=leaky_swap_batch)) is None
+    # A replaced swap_batch alone judges validity too: its flagged trial
+    # does not replay through wgm's own swap_in.
+    broken = dataclasses.replace(wgm(0.3), swap_batch=lambda s, i, j, amount: s * np.nan)
+    assert _screen_of(broken) is None
     with pytest.raises(InternalError):
-        check_pareto(dataclasses.replace(wgm(0.3), swap_batch=leaky_swap_batch), cfg)
+        check_validity_invariance(broken, cfg)
     # replace() keeps a built-in screen; csum's kernel calls no libm, so it has none.
     rule = product()
     assert _screen_of(rule) is rule.swap_batch
     assert _screen_of(constant_sum()) is None
+
+
+def test_pareto_chains_are_walked_through_swap_not_a_custom_swap_batch():
+    def raising(s, i, j, amount):
+        raise RuntimeError("a Pareto chain was walked through swap_batch")
+
+    rule = dataclasses.replace(wgm(0.3), swap_batch=raising)
+    cfg = TrialConfig(seed=7, trials=200)
+    report = check_pareto(rule, cfg)
+    assert report.passed
+    assert report_to_dict(report) == report_to_dict(check_pareto(scalar(rule), cfg))
 
 
 def test_csum_with_batch_kernel_matches_reference():
@@ -366,27 +378,12 @@ def test_chain_pair_draw_matches_scalar_pair_draws(n):
         assert after[1][trial, 0] == log_uniform(rng, 1e-3, 1.0)
 
 
-def test_sorted_frontier_never_clears_a_dominated_chain():
-    # Four-state chains whose steps in x and y sit within a few dominance
-    # margins, shuffled along the chain, so rounding decides many cases.
-    rng = trial_rng(2031, 0)
-    x = np.cumprod(1.0 + rng.uniform(0.0, 6e-12, (4000, 4)), axis=1)
-    y = np.cumprod(1.0 - rng.uniform(-2e-12, 6e-12, (4000, 4)), axis=1)
-    order = rng.permutation(4)
-    x, y = x[:, order], y[:, order]
-    chains = np.stack([x, y], axis=2)
-    cleared = axioms._strict_frontier(x, y)
-    dominated = axioms._dominance(chains).any(axis=(1, 2))
-    assert not np.any(cleared & dominated)
-    assert np.any(cleared) and np.any(dominated)
-
-
 # The screened Pareto judge: a chain's logs in one cumulative sum, within
 # delta of the exact chain's, and the invariant-window certificate on them.
 
 def exact_chains(rule: SwapRule, drawn: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The states of each drawn chain as the exact judge walks them, through
-    swap_batch, and whether every step stayed valid."""
+    """The states of each drawn chain walked through swap_batch, bit for bit
+    the states swap() reaches, and whether every step stayed valid."""
     i, j, x = drawn["token_in"], drawn["token_out"], drawn["fractions"]
     rows = np.arange(len(i))
     states = [np.asarray(drawn["start"], dtype=float)]
