@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (AmmError, ConfigError, InternalError, MalformedInputError, UsageError,
                      _require_tolerance, is_real, require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
-from .rules import _EPS, SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
+from .rules import _EPS, SwapRule, _batch_of, _screen_of, _walk, _Walk, swap, swap_rows
 from .state import _close_rows, _factors, _positive, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
@@ -117,35 +117,28 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
     return False, out.tolist(), expected
 
 
-def _dominance(chains: np.ndarray) -> np.ndarray:
-    """For chains (B, m, n) of finite states: [b, p, q] is True iff state p
-    dominates state q under the 1e-12 margin.
+def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
+    """First (dominating, dominated) index pair of a chain's states (m, n),
+    in row-major order, under the 1e-12 margin, or None.
 
     p dominates q when p is above q on some coordinate and q is above p
     on none, "above" meaning by more than the margin.  Built one
     coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
     symmetric in p and q, so on finite inputs "q is not above p" is
-    exactly the test "p - q >= -slack" on every coordinate.
+    exactly the test "p - q >= -slack" on every coordinate; no state is
+    above itself.
     """
-    size = chains.shape[1]
-    magnitude = np.abs(chains)
-    above = np.zeros((chains.shape[0], size, size), dtype=bool)
-    for k in range(chains.shape[2]):
-        slack = np.maximum(magnitude[:, :, None, k], magnitude[:, None, :, k])
+    size = len(states)
+    magnitude = np.abs(states)
+    above = np.zeros((size, size), dtype=bool)
+    for k in range(states.shape[1]):
+        slack = np.maximum(magnitude[:, None, k], magnitude[None, :, k])
         slack *= PARETO_MARGIN
-        above |= chains[:, :, None, k] - chains[:, None, :, k] > slack
-    dominates = above & ~above.transpose(0, 2, 1)
-    dominates[:, range(size), range(size)] = False
-    return dominates
-
-
-def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
-    """First (dominating, dominated) index pair under the 1e-12 margin, or None."""
-    dominates = _dominance(states[None])[0]
+        above |= states[:, None, k] - states[None, :, k] > slack
+    dominates = above & ~above.T
     if not dominates.any():
         return None
-    flat = int(np.flatnonzero(dominates)[0])
-    return flat // states.shape[0], flat % states.shape[0]
+    return divmod(int(np.flatnonzero(dominates)[0]), size)
 
 
 def _violates_pareto(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
@@ -255,14 +248,14 @@ def _trial(drawn: dict, k: int) -> dict:
     return {key: column[k].tolist() for key, column in drawn.items()}
 
 
-# Batch verdicts.  For a rule with swap_batch, the validity, unit and
-# symmetry judges evaluate a block of drawn trials at once with the
-# predicates' own float operations, through swap_rows, which behaves as
-# swap() on each row, so a trial's verdict is the predicate's verdict.
-# A judge returns the per-trial violation mask; with screen, the rows come
-# from the rule's screen (a chain from its log_chains and _certified), and
-# a trial is cleared only if it holds with the bound to spare.  A chain the
-# screen does not clear is walked one at a time by _walk, as its witness is.
+# Batch verdicts.  A judge returns the violation mask of a block of drawn
+# trials.  With screen, the rows come from the rule's screen (a chain from
+# its log_chains and _certified), and a trial is cleared only if it holds
+# with the bound to spare.  Without, the validity, unit and symmetry judges
+# run the predicates' own float operations through swap_rows, which behaves
+# as swap() on each row, so a trial's verdict is the predicate's verdict.
+# A chain is never judged through swap_batch: one the screen does not clear
+# is walked by _walk, as its witness is.
 
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
     out, ok, _ = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
@@ -289,17 +282,14 @@ def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool)
 
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
-    if screen:
-        batch = _screen_of(rule)
-        return ~_certified(*batch.log_chains(drawn["start"], drawn["token_in"],
-                                             drawn["token_out"], drawn["fractions"]), batch.w)
-    return np.array([_scalar_verdict(rule, cfg, "pareto_efficiency", _trial(drawn, k))[1]
-                     for k in range(len(drawn["start"]))], dtype=bool)
+    batch = _screen_of(rule)
+    return ~_certified(*batch.log_chains(drawn["start"], drawn["token_in"],
+                                         drawn["token_out"], drawn["fractions"]), batch.w)
 
 
 def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Chains, given as logs (B, m, n) within delta (B,) of their states' logs,
-    on which no state dominates another under _dominance.
+    on which no state dominates another under _dominating_pair.
 
     If p dominates q, then log q - log p <= mu on every coordinate, and
     w . (log q - log p) lies within the chain's spread S of w . log; so
@@ -352,34 +342,36 @@ def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -
     return trial, _PREDICATES[axiom](rule, trial, cfg.tolerance)[0]
 
 
-def _first_suspect(rule: SwapRule, cfg: TrialConfig, axiom: str, drawn: dict) -> int | None:
-    """Lowest row of a block of drawn trials that violates the axiom, or None:
-    the exact judge takes every row a rule's screen does not clear, and a
-    black-box rule runs one trial at a time through the scalar verdict."""
-    rows = len(next(iter(drawn.values())))
-    if rule.swap_batch is None:
-        return next((k for k in range(rows)
-                     if _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))[1]), None)
+def _first_violation(rule: SwapRule, cfg: TrialConfig, axiom: str,
+                     drawn: dict) -> tuple[int, dict] | None:
+    """Lowest row of a block of drawn trials that violates the axiom, with
+    its witness inputs, or None.
+
+    The rule's screen drops the rows it clears; a batching rule's exact judge
+    keeps the rows it flags, chains aside; the scalar verdict takes what is
+    left in index order.  A flagged row is returned whatever its scalar
+    verdict, so the replay catches a swap_batch that disagrees with swap()."""
     judge = _ENGINE[axiom][1]
-    suspect = (judge(rule, cfg, drawn, True) if _screen_of(rule) is not None
-               else np.ones(rows, dtype=bool))
-    if not suspect.any():
-        return None
-    hits = np.flatnonzero(suspect)[judge(rule, cfg, _take(drawn, suspect), False)]
-    return int(hits[0]) if hits.size else None
-
-
-def _take(drawn: dict, rows: np.ndarray) -> dict:
-    """The drawn trials of a row mask."""
-    return drawn if rows.all() else {key: column[rows] for key, column in drawn.items()}
+    rows = np.arange(len(next(iter(drawn.values()))))
+    if _screen_of(rule) is not None:
+        rows = rows[judge(rule, cfg, drawn, True)]
+    batched = axiom != "pareto_efficiency" and _batch_of(rule) is not None
+    if batched and rows.size:
+        rows = rows[judge(rule, cfg, {key: column[rows] for key, column in drawn.items()}, False)]
+    for k in rows.tolist():
+        inputs, violated = _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))
+        if violated or batched:
+            return k, inputs
+    return None
 
 
 def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                 scope: str | None = None) -> AxiomReport:
     """Run an axiom's trials in index order, in blocks, up to the first violation.
 
-    The failing trial's witness is rebuilt through the scalar path and
-    confirmed by the predicate that shrink() replays.
+    Each block runs the one pipeline of _first_violation: the screen, then
+    swap_batch, then the scalar verdict, whose witness inputs the predicate
+    that shrink() replays must confirm.
     """
     n = rule.dimension
     # Each block computes up front the Philox words per trial that the
@@ -390,10 +382,9 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
         draws = trial_draws(cfg.seed, trials, words)
         drawn = _ENGINE[axiom][0](draws, trials, cfg, n)
         words = draws.words_read
-        hit = _first_suspect(rule, cfg, axiom, drawn)
+        hit = _first_violation(rule, cfg, axiom, drawn)
         if hit is not None:
-            trial = first + hit
-            inputs = _scalar_verdict(rule, cfg, axiom, _trial(drawn, hit))[0]
+            trial, inputs = first + hit[0], hit[1]
             violated, observed, expected = _PREDICATES[axiom](rule, inputs, cfg.tolerance)
             if not violated:
                 raise InternalError(f"{axiom} trial {trial} of rule {rule.name!r} was flagged "
@@ -521,7 +512,8 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
                   for (key, _), v in zip(slots, values)]
     except (TypeError, KeyError):
         values = [None]
-    if not (inputs.keys() >= set(keys) and all(map(is_real, values))):
+    # NaN is no real number, and would keep the amount search from settling.
+    if not (inputs.keys() >= set(keys) and all(is_real(v) and v == v for v in values)):
         raise MalformedInputError(f"a {report.axiom} witness needs {', '.join(keys)}, real "
                                   "coordinates, factors and amounts, and moves of three values")
     coords = [(key, index) for key, index in slots if key not in ("amount", "moves")]

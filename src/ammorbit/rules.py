@@ -40,13 +40,13 @@ class SwapRule:
     swap_batch is an optional vectorised swap_in: given states (B, n),
     token indices i and j (B,) and amounts (B,), it returns the (B, n)
     post-trade states, each row equal bit for bit to swap_in on that row,
-    with a non-finite row where swap_in would raise.  A rule that sets
-    it must keep the default positive-orthant domain: the batch path
-    checks states itself, never calls domain, and passes only rows that
-    swap() accepts.  The validity, unit and symmetry checks use it when
-    present and run one trial at a time through swap() when it is None.
-    Pareto chains the certificate does not clear, and all chains of an
-    unscreened rule, are walked one at a time through swap(), as witnesses are.
+    with a non-finite row where swap_in would raise; it is passed only
+    rows that swap() accepts.  The batch path never calls domain, so it
+    is used only while domain is is_valid, the default.  Each block of
+    trials runs one pipeline: a built-in weighted rule's screen drops the
+    trials it clears, swap_batch keeps the validity, unit and symmetry
+    trials it flags, and swap() judges the rest in index order up to the
+    first violation.  Pareto chains never go through swap_batch.
     """
 
     name: str
@@ -232,9 +232,14 @@ def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
                     weights=weights, swap_batch=_PairBatch(kernel, w))
 
 
+def _batch_of(rule: SwapRule):
+    """rule.swap_batch while domain is is_valid, the one the batch path assumes; else None."""
+    return rule.swap_batch if rule.domain is is_valid else None
+
+
 def _screen_of(rule: SwapRule) -> _PairBatch | None:
-    """rule's _PairBatch if its kernel calls libm, which the screen replaces."""
-    batch = rule.swap_batch
+    """_batch_of(rule) if it is a _PairBatch whose kernel calls libm, which the screen replaces."""
+    batch = _batch_of(rule)
     return batch if type(batch) is _PairBatch and batch.kernel is not _sum_pair else None
 
 

@@ -137,6 +137,12 @@ MALFORMED = [
      MalformedInputError),
     ("shrink str move amount",
      lambda: _shrink_edited("pareto_efficiency", moves=[[0, 1, "x"]]), MalformedInputError),
+    # NaN is no real number; an amount search on it never settles.
+    ("shrink NaN amount", lambda: _shrink_edited(amount=float("nan")), MalformedInputError),
+    ("shrink NaN move amount",
+     lambda: _shrink_edited("pareto_efficiency", moves=[[0, 1, float("nan")]]),
+     MalformedInputError),
+    ("shrink NaN state", lambda: _shrink_edited(state=[float("nan"), 1.0]), MalformedInputError),
     ("SwapRule dimension 0", lambda: check_all(SwapRule("x", 0, product().swap_in),
                                                TrialConfig(trials=8)), ConfigError),
     ("SwapRule dimension 1", lambda: SwapRule("x", 1, product().swap_in), ConfigError),

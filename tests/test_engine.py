@@ -196,7 +196,9 @@ def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
 
 
 def counted_exact_rows(monkeypatch) -> dict:
-    """Rows each axiom's judge sees on the exact path, counted as the run goes."""
+    """Rows each axiom's exact stage sees, counted as the run goes: the
+    validity, unit and symmetry rows sent to swap_batch, and the chains
+    that reach the scalar verdict."""
     exact_rows = dict.fromkeys(axioms._ENGINE, 0)
     for axiom, (draw, judge) in list(axioms._ENGINE.items()):
         def counted(rule, cfg, drawn, screen, axiom=axiom, judge=judge):
@@ -205,6 +207,14 @@ def counted_exact_rows(monkeypatch) -> dict:
             return judge(rule, cfg, drawn, screen)
 
         monkeypatch.setitem(axioms._ENGINE, axiom, (draw, counted))
+    verdict = axioms._scalar_verdict
+
+    def counted_verdict(rule, cfg, axiom, trial):
+        if axiom == "pareto_efficiency":
+            exact_rows[axiom] += 1
+        return verdict(rule, cfg, axiom, trial)
+
+    monkeypatch.setattr(axioms, "_scalar_verdict", counted_verdict)
     return exact_rows
 
 
@@ -227,6 +237,41 @@ def test_the_certificate_clears_every_pareto_chain_at_the_default_tolerance(monk
     for seed in SEEDS:
         assert check_pareto(parse_rule(text), TrialConfig(seed=seed, trials=2000)).passed
     assert exact_rows["pareto_efficiency"] == 0
+
+
+def test_chains_the_certificate_does_not_clear_reach_the_scalar_verdict(monkeypatch):
+    exact_rows = counted_exact_rows(monkeypatch)
+    assert check_pareto(parse_rule("wprod:0.01,0.01,0.98"),
+                        TrialConfig(seed=7, trials=10_000)).passed
+    assert exact_rows["pareto_efficiency"] > 0
+
+
+@pytest.mark.parametrize("text", ["csum", "wgm:1e-6", "wgm:0.999999"])
+def test_a_failing_chain_is_walked_once_and_replayed_once(monkeypatch, text):
+    # The first violating chain ends the block: no chain after it is walked.
+    walks = []
+    walk = axioms._walk
+
+    def counted(*args, **kwargs):
+        walks.append(args)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(axioms, "_walk", counted)
+    report = check_pareto(parse_rule(text), TrialConfig(seed=7, trials=10_000))
+    assert not report.passed and report.trials == 1
+    assert len(walks) == 2
+
+
+def test_a_replaced_domain_is_judged_by_swap_on_every_route():
+    # Reserve 0 capped at 2, which the batch path and the screen never check.
+    capped = dataclasses.replace(wgm(0.3),
+                                 domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
+    assert _screen_of(capped) is None
+    cfg = TrialConfig(seed=7, trials=200)
+    batched = reports(capped, cfg)
+    assert batched == reports(scalar(capped), cfg)
+    assert not any(r["passed"] for r in batched)
+    assert "outside the domain" in batched[0]["witness"]["observed"]
 
 
 def leaky_swap_in(s, i, j, amount):
@@ -404,8 +449,11 @@ def certified(rule: SwapRule, drawn: dict) -> np.ndarray:
 
 
 def flagged(rule: SwapRule, drawn: dict) -> np.ndarray:
+    """The scalar verdict of each drawn chain."""
     cfg = TrialConfig(chain_length=drawn["fractions"].shape[1])
-    return axioms._judge_chains(rule, cfg, drawn, False)
+    return np.array([axioms._scalar_verdict(rule, cfg, "pareto_efficiency",
+                                            axioms._trial(drawn, k))[1]
+                     for k in range(len(drawn["start"]))], dtype=bool)
 
 
 def test_certificate_never_clears_a_near_return_chain_the_exact_judge_flags():
