@@ -8,9 +8,9 @@ Subcommands:
 * orbit-export: sample one orbit and export its states and log points.
 
 Exit codes: 0 all checks passed / output written, 1 a check failed (the
-report is still written), 2 bad usage or configuration.  Identical
-invocations produce byte-identical output; every JSON payload carries a
-spec_version format field.
+report is still written), 2 bad usage or configuration, or out of memory.
+Identical invocations produce byte-identical output; every JSON payload
+carries a spec_version format field.
 """
 
 from __future__ import annotations
@@ -248,16 +248,18 @@ def _cmd_simulate_fees(args) -> int:
 _TRADE_BLOCK = 4096
 
 
-def _random_trades(seed: int, n: int, count: int) -> tuple[list, list, list]:
-    """Columns i, j and fraction of reserve i of the trades; trade t is
-    drawn from trial stream t."""
-    columns = ([], [], [])
+def _random_trades(seed: int, n: int, count: int) -> tuple[memoryview, memoryview, memoryview]:
+    """Columns i, j and fraction of reserve i of count trades, trade t drawn from stream t."""
+    try:
+        i, j, x = np.empty(count, np.int32), np.empty(count, np.int32), np.empty(count)
+    except (ValueError, MemoryError) as exc:
+        raise ConfigError(f"cannot hold {count} trades: {exc}") from None
     for first in range(0, count, _TRADE_BLOCK):
-        draws = trial_draws(seed, range(first, min(first + _TRADE_BLOCK, count)))
-        i, j = draws.pairs(n, 1)[:, :, 0]
-        for column, drawn in zip(columns, (i, j, draws.log_uniform(1e-3, 1.0, 1)[:, 0])):
-            column.extend(drawn.tolist())
-    return columns
+        last = min(first + _TRADE_BLOCK, count)
+        draws = trial_draws(seed, range(first, last))
+        i[first:last], j[first:last] = draws.pairs(n, 1)[:, :, 0]
+        x[first:last] = draws.log_uniform(1e-3, 1.0, 1)[:, 0]
+    return memoryview(i), memoryview(j), memoryview(x)
 
 
 def _cmd_orbit_export(args) -> int:
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except AmmError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}", file=sys.stderr)
         return 2
 
 

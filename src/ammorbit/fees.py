@@ -124,8 +124,8 @@ def fee_drift(rule: SwapRule, s0, trades: Sequence[Move], fee: float) -> DriftSe
 
 def _fold(rule: SwapRule, s0, trades, fee: float,
           relative: bool = False) -> tuple[DriftSeries, _Walk]:
-    """fee_drift over trades (i, j, x) as rules._walk takes them, and the
-    walk.  Leaving the domain raises as swap() would."""
+    """fee_drift over trades as rules._walk takes them, and the walk; leaving
+    the domain raises as swap() would."""
     fee = _check_fee(fee)
     if rule.weights is None:
         raise UsageError(f"rule {rule.name!r} declares no invariant to track")
@@ -138,7 +138,8 @@ def _fold(rule: SwapRule, s0, trades, fee: float,
         raise walk.failure
     if walk.failure is not None:
         _check_state(rule, walk.failure)  # raises, as swap() would on the next trade
-    values = _freeze(np.array([_gmean(w, row) for row in np.log(walk.states)]))
+    logs = np.log(walk.states)
+    values = _freeze(np.fromiter((_gmean(w, row) for row in logs), float, len(logs)))
     return DriftSeries(rule=rule.name, fee=fee, states=walk.states, invariant_values=values), walk
 
 

@@ -16,6 +16,7 @@ and rules are treated as black boxes, so no inverse query is offered.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Sequence
 
@@ -343,15 +344,14 @@ def _is_index(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _check_drawn(n: int, i, j, x) -> tuple[list, list, list]:
-    """Columns of moves the library drew, as lists, checked once as arrays:
-    distinct integer indices below n and finite nonnegative fractions."""
-    i, j, x = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64), np.asarray(x, float)
-    if not (i.ndim == 1 and i.shape == j.shape == x.shape and np.all(
-            (i != j) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < n)
-            & (x >= 0.0) & (x < math.inf))):
+def _check_drawn(n: int, i, j, x) -> tuple[memoryview, memoryview, memoryview]:
+    """Drawn columns i, j, x as int, int and float views, once checked to be valid moves."""
+    i, j, x = np.asarray(i), np.asarray(j), np.asarray(x, float)
+    if not (i.dtype.kind == j.dtype.kind == "i" and i.ndim == 1 and i.shape == j.shape == x.shape
+            and np.all((i != j) & (np.minimum(i, j) >= 0) & (np.maximum(i, j) < n)
+                       & (x >= 0.0) & (x < math.inf))):
         raise InternalError(f"drawn moves are not valid moves for dimension {n}")
-    return i.tolist(), j.tolist(), x.tolist()
+    return memoryview(i), memoryview(j), memoryview(x)
 
 
 def _failed_at(rule: SwapRule, state: list, i, j, amount, exc: Exception | None = None) -> str:
@@ -420,10 +420,9 @@ def swap(rule: SwapRule, s, i: int, j: int, amount: float) -> np.ndarray:
 
 
 class _Walk(NamedTuple):
-    """The start and each accepted state as one read-only (m, n) array, the
-    moves tried as columns i, j, amount (amounts pinned; i and j may run on
-    past the last move tried), and the failure: None, the AmmError that step
-    len(states) raised, or the out-of-domain state it produced."""
+    """A walk's states as one read-only (m, n) array, the moves it tried as columns
+    i, j and pinned amount (i and j may run on past the last), and None or what
+    ended step m: an AmmError or the out-of-domain state."""
 
     states: np.ndarray
     tried: tuple[Sequence, Sequence, Sequence]
@@ -435,27 +434,22 @@ class _Walk(NamedTuple):
 
 
 def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -> _Walk:
-    """Apply moves (i, j, x) in turn from s0, up to the first failing step.
-
-    Caller moves are checked as swap() checks them, each at its own step.
-    When relative, moves are three columns i, j, x that the library drew,
-    checked once; x is the fraction of reserve i to trade, pinned as
-    x * current[i], and only an amount that overflows fails its move check.
-    s0 raises as in swap().  A step fails when the checks or the step raise
-    AmmError, or when its output leaves the rule's domain.
-    """
+    """The walk from s0, checked as in swap(), through moves (i, j, amount), each
+    checked at its own step, or when relative through the drawn columns i, j and
+    fraction of reserve i, up to the first step that raises AmmError or leaves the
+    domain."""
     start = _check_state(rule, s0)
     n = start.size
     step, default, inf = _stepper(rule, fee), rule.domain is is_valid, math.inf
     if relative:
         i_col, j_col, x_col = _check_drawn(n, *moves)
-        tried = (i_col, j_col, [])
+        tried = (i_col, j_col, array("d"))
         moves = zip(i_col, j_col, x_col)
     else:
         tried = ([], [], [])
     pinned = tried[2]
     current = start.tolist()
-    states = current.copy()
+    states = array("d", current)
     failure = None
     for move in moves:
         try:
@@ -483,8 +477,8 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
         except AmmError as exc:
             failure = exc
             break
-        states.extend(current)
-    return _Walk(_freeze(np.array(states)).reshape(-1, n), tried, failure)
+        states.fromlist(current)
+    return _Walk(_freeze(np.frombuffer(states).reshape(-1, n)), tried, failure)
 
 
 def _describe_exit(walk: _Walk) -> str:

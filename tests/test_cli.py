@@ -319,6 +319,58 @@ class TestStdoutWriteFailure:
         assert proc.stderr.count("\n") == 1, proc.stderr
 
 
+@pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_AS as Linux counts it")
+class TestOutOfMemory:
+    # Under a 600 MB address-space cap (importing the CLI takes about 150 MB),
+    # a run that cannot get memory exits 2 with one error line, as a usage
+    # error does, not 1 with a traceback.
+    CAP = 600_000 * 1024
+
+    @classmethod
+    def run_capped(cls, args):
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (cls.CAP, cls.CAP))
+
+        # One BLAS thread: each further thread reserves address space of its own.
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        return subprocess.run([sys.executable, "-m", "ammorbit.cli", *args],
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=300, env=env, preexec_fn=cap)
+
+    @pytest.mark.parametrize("args,message", [
+        (["simulate-fees", "--rule", "product", "--phi", "0.003", "--trades", "1000000000"],
+         "error: cannot hold 1000000000 trades: "),
+        (["orbit-export", "--rule", "wgm:0.5", "--samples", "30000000"], "error: "),
+        (["classify", "--rule", "wgm:0.8", "--orbits", "2", "--samples", "30000000"], "error: "),
+    ], ids=["simulate-fees", "orbit-export", "classify"])
+    def test_a_run_too_big_to_hold_exits_two(self, args, message):
+        proc = self.run_capped(args)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_a_fee_export_of_three_million_trades_fits(self):
+        # Packed trade columns and states: 3 * 10**6 trades peak near 300 MB.
+        proc = self.run_capped(["simulate-fees", "--rule", "product", "--phi", "0.003",
+                                "--trades", "3000000"])
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
+def test_memory_error_exits_two_with_one_line(monkeypatch, capsys):
+    from ammorbit import classify
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(classify, "sample_orbit", no_memory)
+    assert cli.main(["orbit-export", "--rule", "wgm:0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: an allocation failed\n"
+
+
 class TestStartUp:
     """A process loads only what its subcommand runs."""
 

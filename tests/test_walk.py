@@ -8,6 +8,7 @@ pinned moves, and the failure's type and message or exit state.
 """
 
 import functools
+import gc
 import math
 import sys
 import tracemalloc
@@ -17,8 +18,8 @@ import numpy as np
 import pytest
 
 from ammorbit import (AmmError, ChainError, InternalError, MalformedInputError, NumericError,
-                      SamplingError, UsageError, chain, constant_sum, fee_drift, parse_rule,
-                      product, sample_orbit, weighted_product, wgm)
+                      SamplingError, TrialConfig, UsageError, chain, check_pareto, constant_sum,
+                      fee_drift, parse_rule, product, sample_orbit, weighted_product, wgm)
 from ammorbit import cli
 from ammorbit.fees import _fold, fee_swap
 from ammorbit.rules import _check_move, _check_state, _walk, is_valid
@@ -292,9 +293,42 @@ def test_walk_results_are_the_walks_read_only_arrays():
             row += 1.0
 
 
+def test_packed_walk_columns_read_as_python_numbers_after_collection():
+    # A walk keeps its states in one packed buffer and its drawn columns as
+    # views: moves read back as Python ints and floats, and tables as
+    # read-only C-contiguous float64 arrays that outlive the walk's locals.
+    rule = wgm(0.3)
+    capped = replace(rule, domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
+    trades = cli._random_trades(7, 2, 50)
+    want, _, _ = reference_walk(rule, [1.0, 2.0], trades, True, 0.003)
+    walk = _walk(rule, [1.0, 2.0], trades, relative=True, fee=0.003)
+    drift = _fold(rule, [1.0, 2.0], trades, 0.003, relative=True)[0]
+    values = drift.invariant_values.tolist()
+    orbit = sample_orbit(rule, [1.0, 2.0], 40, seed=3)
+    with pytest.raises(SamplingError) as sampling:
+        sample_orbit(capped, [1.0, 2.0], 40, seed=3)
+    partial = sampling.value.partial
+    trajectory = chain(rule, [1.0, 2.0], [(0, 1, 0.5), (1, 0, 0.25)])
+    witness = check_pareto(constant_sum(), TrialConfig(seed=7, trials=10)).witness
+    del trades, sampling
+    gc.collect()
+    litter = [[float(k)] * 4 for k in range(10**4)]  # reuses memory the collection freed
+    for moves in (walk.moves, trajectory.moves, witness.inputs["moves"]):
+        assert moves and all(list(map(type, move)) == [int, int, float] for move in moves)
+    for array in (walk.states, drift.states, partial.states, drift.invariant_values):
+        assert array.dtype == np.float64 and array.flags.c_contiguous
+        assert not array.flags.writeable
+    assert walk.states.tobytes() == drift.states.tobytes() == np.stack(want).tobytes()
+    assert 0 < len(partial.states) < 41
+    assert partial.states.tobytes() == orbit.states[:len(partial.states)].tobytes()
+    assert drift.invariant_values.tolist() == values
+    del litter
+
+
 def test_orbit_sampling_holds_little_more_than_it_keeps():
     # What is kept is the walk's states array and its logs, 0.96 MB; the
-    # peak exceeds it by the walk's float list and its move columns.
+    # peak exceeds it by the move columns, the pinned amounts and the
+    # Philox words the fractions are read from.
     rule = wgm(0.5)
     sample_orbit(rule, [1.0, 1.0], 64)
     tracemalloc.start()
@@ -304,4 +338,33 @@ def test_orbit_sampling_holds_little_more_than_it_keeps():
     finally:
         tracemalloc.stop()
     assert len(sample.states) == 30001
-    assert kept < 1.2e6 and peak < 5.5e6, (kept, peak)
+    assert kept < 1.2e6 and peak < 2.5e6, (kept, peak)
+
+
+def test_fee_fold_holds_little_more_than_it_keeps():
+    # States, invariants and pinned amounts, 0.33 MB, are kept; the trades'
+    # columns are read through views, not copied.
+    rule = product()
+    trades = cli._random_trades(7, 2, 10**4)
+    _fold(rule, [1.0, 1.0], cli._random_trades(7, 2, 64), 0.003, relative=True)
+    tracemalloc.start()
+    try:
+        series, walk = _fold(rule, [1.0, 1.0], trades, 0.003, relative=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(series.states) == len(walk.tried[2]) + 1 == 10**4 + 1
+    assert peak < 1.2e6, peak
+
+
+def test_drawn_trades_hold_their_columns_and_one_block_of_draws():
+    # Three packed columns, 1.6 MB, and the draws of one 4,096-trade block.
+    cli._random_trades(7, 2, 64)
+    tracemalloc.start()
+    try:
+        trades = cli._random_trades(7, 2, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(column) for column in trades] == [10**5] * 3
+    assert peak < 3e6, peak
