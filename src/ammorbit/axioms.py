@@ -249,39 +249,36 @@ def _trial(drawn: dict, k: int) -> dict:
 
 
 # Batch verdicts.  A judge returns the violation mask of a block of drawn
-# trials.  With screen, the rows come from the rule's screen (a chain from
-# its log_chains and _certified), and a trial is cleared only if it holds
-# with the bound to spare.  Without, the validity, unit and symmetry judges
-# run the predicates' own float operations through swap_rows, which behaves
-# as swap() on each row, so a trial's verdict is the predicate's verdict.
-# A chain is never judged through swap_batch: one the screen does not clear
-# is walked by _walk, as its witness is.
+# trials.  The validity, unit and symmetry judges run the predicates' own
+# float operations through swap_rows, which behaves as swap() on each row,
+# so a trial's verdict is the predicate's verdict.  A chain is never judged
+# through swap_batch: its judge clears it from its logs (log_chains and
+# _certified), and one it does not clear is walked by _walk, as its witness is.
 
-def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
-    out, ok, _ = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
-                           drawn["amount"], screen)
+def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
+    out, ok = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
+                        drawn["amount"])
     return ~(ok & np.all(out > 0.0, axis=1))
 
 
-def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
+def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     s, f, i, j, amount = (drawn[key] for key in
                           ("state", "factors", "token_in", "token_out", "amount"))
-    rhs, ok, e = swap_rows(rule, s, i, j, amount, screen)
-    lhs, ok_scaled, e_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount,
-                                         screen)
-    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance, 2.0 * (e + e_scaled)))
+    rhs, ok = swap_rows(rule, s, i, j, amount)
+    lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount)
+    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance))
 
 
-def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
+def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     s, amount = drawn["state"], drawn["amount"]
     first = np.zeros(len(s), dtype=int)
     second = first + 1
-    t, ok, e = swap_rows(rule, s, first, second, amount, screen)
-    mirrored, ok_mirrored, e2 = swap_rows(rule, s[:, ::-1], second, first, amount, screen)
-    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance, 2.0 * (e + e2)))
+    t, ok = swap_rows(rule, s, first, second, amount)
+    mirrored, ok_mirrored = swap_rows(rule, s[:, ::-1], second, first, amount)
+    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance))
 
 
-def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict, screen: bool) -> np.ndarray:
+def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     batch = _screen_of(rule)
     return ~_certified(*batch.log_chains(drawn["start"], drawn["token_in"],
                                          drawn["token_out"], drawn["fractions"]), batch.w)
@@ -347,20 +344,19 @@ def _first_violation(rule: SwapRule, cfg: TrialConfig, axiom: str,
     """Lowest row of a block of drawn trials that violates the axiom, with
     its witness inputs, or None.
 
-    The rule's screen drops the rows it clears; a batching rule's exact judge
-    keeps the rows it flags, chains aside; the scalar verdict takes what is
-    left in index order.  A flagged row is returned whatever its scalar
-    verdict, so the replay catches a swap_batch that disagrees with swap()."""
-    judge = _ENGINE[axiom][1]
+    A chain's judge, when the rule has log_chains, drops the chains it
+    clears; a batching rule's judge keeps the validity, unit and symmetry
+    rows it flags; the scalar verdict takes what is left in index order.  A
+    flagged row is returned whatever its scalar verdict, so the replay
+    catches a swap_batch that disagrees with swap()."""
+    chains = axiom == "pareto_efficiency"
+    judged = (_screen_of if chains else _batch_of)(rule) is not None
     rows = np.arange(len(next(iter(drawn.values()))))
-    if _screen_of(rule) is not None:
-        rows = rows[judge(rule, cfg, drawn, True)]
-    batched = axiom != "pareto_efficiency" and _batch_of(rule) is not None
-    if batched and rows.size:
-        rows = rows[judge(rule, cfg, {key: column[rows] for key, column in drawn.items()}, False)]
+    if judged:
+        rows = rows[_ENGINE[axiom][1](rule, cfg, drawn)]
     for k in rows.tolist():
         inputs, violated = _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))
-        if violated or batched:
+        if violated or (judged and not chains):
             return k, inputs
     return None
 
@@ -369,9 +365,9 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                 scope: str | None = None) -> AxiomReport:
     """Run an axiom's trials in index order, in blocks, up to the first violation.
 
-    Each block runs the one pipeline of _first_violation: the screen, then
-    swap_batch, then the scalar verdict, whose witness inputs the predicate
-    that shrink() replays must confirm.
+    Each block runs the one pipeline of _first_violation: the axiom's batch
+    judge, then the scalar verdict, whose witness inputs the predicate that
+    shrink() replays must confirm.
     """
     n = rule.dimension
     # Each block computes up front the Philox words per trial that the

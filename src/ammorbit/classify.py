@@ -157,8 +157,8 @@ def sample_orbit(rule: SwapRule, s0, count: int = 64, seed: int = 0) -> OrbitSam
     """Record count forward swaps (count+1 states) wandering one orbit.
 
     Directions cycle so the walk does not drift off in one token, and
-    amounts are log-uniform fractions of the input reserve.  Leaving the
-    rule's domain raises SamplingError carrying the partial sample.
+    amounts are log-uniform fractions of the input reserve.  A step that
+    raises or leaves the domain raises SamplingError with the partial sample.
     """
     require_integer("count", count)
     if count < MIN_ORBIT_SAMPLES:
@@ -175,8 +175,6 @@ def _sample(rule: SwapRule, s0, directions: list[tuple[int, int]], count: int, s
     drawn from trial_rng(seed, 0)."""
     fractions = trial_draws(seed, [0]).log_uniform(*amount_range, count)[0]
     walk = _walk(rule, s0, (*np.resize(directions, (count, 2)).T, fractions), relative=True)
-    if isinstance(walk.failure, AmmError):
-        raise walk.failure
     sample = OrbitSample(rule=rule.name, start=walk.states[0], states=walk.states,
                          log_points=_freeze(np.log(walk.states)), seed=seed)
     if walk.failure is not None:

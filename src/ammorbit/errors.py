@@ -100,7 +100,7 @@ class ChainError(AmmError):
 
 
 class SamplingError(AmmError):
-    """Orbit sampling hit the domain boundary; carries the partial sample."""
+    """Orbit sampling hit the domain boundary or a step raised; carries the partial sample."""
 
     def __init__(self, message: str, partial):
         super().__init__(message)

@@ -44,10 +44,9 @@ class SwapRule:
     with a non-finite row where swap_in would raise; it is passed only
     rows that swap() accepts.  The batch path never calls domain, so it
     is used only while domain is is_valid, the default.  Each block of
-    trials runs one pipeline: a built-in weighted rule's screen drops the
-    trials it clears, swap_batch keeps the validity, unit and symmetry
-    trials it flags, and swap() judges the rest in index order up to the
-    first violation.  Pareto chains never go through swap_batch.
+    validity, unit and symmetry trials runs two stages: swap_batch keeps
+    the trials it flags, and swap() judges the first of them.  Pareto
+    chains never go through swap_batch.
     """
 
     name: str
@@ -145,11 +144,11 @@ class _PairSwap:
         return out
 
 
-# screen()'s bound is in units of 64 epsilons: numpy's and libm's log and exp
-# are each within an ulp of the true value, and the weighted kernel rounds six
-# times before its exp, so 8 cover a trade; 64 leave an 8x margin.  A row
-# counts only with a bound under 2**-20 and every coordinate within
-# [2**-1000, 2**1000], far from libm's underflow and overflow.
+# log_chains' bound is in units of 64 epsilons: libm's log and exp are each
+# within an ulp of the true value, and the weighted kernel rounds six times
+# before its exp, so 8 cover a trade; 64 leave an 8x margin.  A chain counts
+# only with a bound under 2**-20 and every state within [2**-1000, 2**1000],
+# far from libm's underflow and overflow.
 _EPS = float(np.finfo(float).eps)
 _SCREEN_ULPS = 64.0 * _EPS
 _SCREEN_CAP, _SCREEN_RANGE = 2.0 ** -20, (2.0 ** -1000, 2.0 ** 1000)
@@ -157,50 +156,30 @@ _SCREEN_CAP, _SCREEN_RANGE = 2.0 ** -20, (2.0 ** -1000, 2.0 ** 1000)
 
 class _PairBatch:
     """swap_batch of a rule built by _pair_rule: the kernel on gathered rows
-    with libm per element, so each row equals swap_in bit for bit.  screen()
-    runs the same kernel with numpy's np.log and np.exp; a custom swap_batch
-    is not a _PairBatch, so replace(rule, swap_batch=...) drops the screen."""
+    with libm per element, so each row equals swap_in bit for bit.
+    log_chains() bounds whole chains of the same kernel in log space; a custom
+    swap_batch is not a _PairBatch, so replace(rule, swap_batch=...) drops it."""
 
     __slots__ = ("kernel", "w")
 
     def __init__(self, kernel: Callable[..., tuple], w: np.ndarray):
         self.kernel, self.w = kernel, w
 
-    def __call__(self, s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray,
-                 log=_row_log, exp=_row_exp) -> np.ndarray:
+    def __call__(self, s: np.ndarray, i: np.ndarray, j: np.ndarray,
+                 amount: np.ndarray) -> np.ndarray:
         rows = np.arange(s.shape[0])
-        new_i, new_j = self.kernel(s[rows, i], s[rows, j], self.w[i], self.w[j], amount, log, exp)
+        new_i, new_j = self.kernel(s[rows, i], s[rows, j], self.w[i], self.w[j], amount,
+                                   _row_log, _row_exp)
         out = s.copy()
         out[rows, i] = new_i
         out[rows, j] = new_j
         return out
 
-    def screen(self, s, i, j, amount) -> tuple[np.ndarray, np.ndarray]:
-        """(out, bound): swap_batch with np.log and np.exp, rows it does not
-        vouch for NaN, and a (B, 1) bound e, |swap_batch - out| <= e |out|."""
-        logs = []
-
-        def log(x):
-            y = np.log(x)
-            logs.append(np.abs(y))
-            return y
-
-        with np.errstate(all="ignore"):
-            out = self(s, i, j, amount, log, np.exp)
-        # The exp argument's error is at most the sum of |log|s over w_j; new_i
-        # rounds once, and by w_i / w_j through the exp; the exp adds its ulp.
-        bound = (_SCREEN_ULPS * ((sum(logs) + self.w[i]) / self.w[j] + 2.0))[:, None]
-        lo, hi = _SCREEN_RANGE
-        counts = np.all((out > lo) & (out < hi), axis=1) & (bound[:, 0] < _SCREEN_CAP)
-        if not counts.all():
-            out[~counts] = np.nan
-        return out, bound
-
     def log_chains(self, start, i, j, fractions) -> tuple[np.ndarray, np.ndarray]:
         """(logs, delta): the (B, L + 1, n) logs of the chains from start that
         trade fractions (B, L) of reserve i into j, and a (B,) bound delta,
         |log(swap_batch's chain) - logs| <= delta, inf where a chain may leave
-        the screen's range.  A trade of fraction x moves log s by
+        the counted range.  A trade of fraction x moves log s by
         log1p(x) (e_i - (w_i / w_j) e_j) whatever the state, so logs is one
         cumulative sum; swap_batch's errors add up along it, as new_j depends
         on s_i only through new_i / s_i."""
@@ -213,9 +192,11 @@ class _PairBatch:
         logs[rows, steps, j] = -ratio * step
         np.cumsum(logs, axis=1, out=logs)
         top = np.maximum(logs.max(axis=(1, 2)), -logs.min(axis=(1, 2)))
-        # Each trade's error as screen() bounds it, with each of its three
-        # |log|s at most top, then the rounding of np.log, log1p, the ratio
-        # and the sum.
+        # A trade's log new_j is within 64 eps ((|log s_i| + |log s_j| + |log
+        # new_i| + w_i) / w_j + 2) of the exact one: the exp argument's error is
+        # at most the sum of |log|s over w_j, new_i rounds once, and by w_i / w_j
+        # through the exp; the exp adds its ulp.  Summed with each |log| at most
+        # top, then the rounding of np.log, log1p, the ratio and the sum.
         delta = _SCREEN_ULPS * (3.0 * top * (1.0 / self.w[j]).sum(axis=1) + ratio.sum(axis=1)
                                 + 2.0 * steps.size)
         delta += 4.0 * (steps.size + 2) * _EPS * (top + (step * (1.0 + ratio)).sum(axis=1))
@@ -239,7 +220,7 @@ def _batch_of(rule: SwapRule):
 
 
 def _screen_of(rule: SwapRule) -> _PairBatch | None:
-    """_batch_of(rule) if it is a _PairBatch whose kernel calls libm, which the screen replaces."""
+    """_batch_of(rule) if it is a _PairBatch whose kernel calls libm, the one log_chains bounds."""
     batch = _batch_of(rule)
     return batch if type(batch) is _PairBatch and batch.kernel is not _sum_pair else None
 
@@ -447,6 +428,10 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
         moves = zip(i_col, j_col, x_col)
     else:
         tried = ([], [], [])
+        try:
+            moves = iter(moves)
+        except TypeError:
+            raise UsageError(f"moves must be a sequence of (i, j, amount), got {moves!r}") from None
     pinned = tried[2]
     current = start.tolist()
     states = array("d", current)
@@ -482,32 +467,32 @@ def _walk(rule: SwapRule, s0, moves, relative: bool = False, fee: float = 0.0) -
 
 
 def _describe_exit(walk: _Walk) -> str:
-    """'at step k: swap(...) = ...' for a walk that left the domain."""
+    """'at step k: swap(...) = ...' for a walk that left the domain, 'at step k: error' else."""
     k = len(walk.states)
+    if isinstance(walk.failure, AmmError):
+        return f"at step {k}: {walk.failure}"
     i, j, amount = (column[k - 1] for column in walk.tried)
     return (f"at step {k}: swap({walk.states[-1].tolist()}, {i}, {j}, "
             f"{amount!r}) = {walk.failure.tolist()}")
 
 
-def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray, amount: np.ndarray,
-              screen: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray | float]:
+def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
+              amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """swap() on every row through rule.swap_batch.
 
-    Returns the outputs, a mask of the rows on which swap() returns rather
-    than raises, and the bound 0.0; rows swap() would reject are computed on
-    a stand-in and masked out.  For rules whose domain is the default one.
-    With screen, the rule's screen computes the rows, with its bound.
+    Returns the outputs and a mask of the rows on which swap() returns
+    rather than raises; rows swap() would reject are computed on a stand-in
+    and masked out.  For rules whose domain is the default one.
     """
     ok = ((s > 0.0) & (s < math.inf)).all(axis=1) & (amount >= 0.0) & (amount < math.inf)
     if not ok.all():
         s = np.where(ok[:, None], s, 1.0)
         amount = np.where(ok, amount, 0.0)
-    out, bound = (rule.swap_batch.screen(s, i, j, amount) if screen
-                  else (rule.swap_batch(s, i, j, amount), 0.0))
+    out = rule.swap_batch(s, i, j, amount)
     zero = amount == 0.0
     if zero.any():
         out = np.where(zero[:, None], s, out)
-    return out, ok & np.isfinite(out).all(axis=1), bound
+    return out, ok & np.isfinite(out).all(axis=1)
 
 
 def out_amount(rule: SwapRule, s, i: int, j: int, amount: float) -> float:

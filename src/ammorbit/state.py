@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedInputError, NumericError, UsageError
+from .errors import DomainError, MalformedInputError, NumericError, UsageError, require_real
 
 # Relative tolerance used for float equality throughout the core.
 REL_TOL = 1e-12
@@ -149,17 +149,20 @@ def _gmean(w: np.ndarray, logs: np.ndarray) -> float:
 
 def rel_close(a, b, tol: float = REL_TOL) -> bool:
     """Coordinate-wise |a-b| <= tol * max(|a|,|b|), with exact equality allowed."""
-    aa = np.asarray(a, dtype=float)
-    bb = np.asarray(b, dtype=float)
+    require_real("tolerance", tol)
+    try:
+        aa = np.asarray(a, dtype=float)
+        bb = np.asarray(b, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MalformedInputError(f"rel_close compares numbers: {exc}") from exc
     if aa.shape != bb.shape:
         return False
     return bool(_close_rows(aa.ravel(), bb.ravel(), tol))
 
 
-def _close_rows(a: np.ndarray, b: np.ndarray, tol: float, slack=0.0) -> np.ndarray:
-    """rel_close of each pair of rows of a and b (along their last axis), at
-    tol less a slack, per row as a (B, 1) array."""
-    return np.all(np.abs(a - b) <= (tol - slack) * np.maximum(np.abs(a), np.abs(b)), axis=-1)
+def _close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """rel_close of each pair of rows of a and b (along their last axis), per row."""
+    return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=-1)
 
 
 def _width(*tables) -> int:

@@ -133,6 +133,15 @@ class TestSampleOrbit:
         assert len(partial.states) >= 1
         assert np.all(np.stack(partial.states) > 0.0)
 
+    def test_kernel_overflow_reports_the_states_before_it(self):
+        start = [1.0, 1.7e308]
+        with pytest.raises(SamplingError, match="at step 8: rule 'wgm:0.5' produced a "
+                                                "non-finite result") as err:
+            sample_orbit(wgm(0.5), start, count=64, seed=0)
+        partial = err.value.partial
+        assert partial.states.shape == (8, 2) and partial.states[0].tolist() == start
+        assert np.isfinite(partial.states).all() and np.isfinite(partial.log_points).all()
+
     def test_deterministic_in_seed(self):
         a = sample_orbit(wgm(0.4), as_reserves([1.0, 2.0]), count=16, seed=5)
         b = sample_orbit(wgm(0.4), as_reserves([1.0, 2.0]), count=16, seed=5)

@@ -254,6 +254,19 @@ class TestOrbitExportCommand:
         assert d["partial"] is True
         assert len(d["states"]) >= 1
 
+    def test_kernel_overflow_exports_partial_and_exits_one(self, tmp_path, capsys):
+        # Step 8 trades from [1.65, 1.03e308] into token 0, and the kernel overflows.
+        rc, path = run(["orbit-export", "--rule", "wgm:0.5", "--samples", "64",
+                        "--start", "1,1.7e308"], tmp_path, "orbit.csv")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("warning: orbit sampling hit the domain boundary of 'wgm:0.5' "
+                              "at step 8: rule 'wgm:0.5' produced a non-finite result")
+        assert err.endswith("; exporting the partial orbit\n")
+        lines = path.read_text().splitlines()
+        assert lines[0] == "x1,x2,u1,u2" and len(lines) == 9
+        assert lines[-1].startswith("1.6488984520532874,1.0309913250770152e+308,")
+
     def test_json_round_trips_states(self, tmp_path):
         rc, path = run(["orbit-export", "--rule", "wgm:0.7", "--samples", "8",
                         "--seed", "4", "--format", "json"], tmp_path, "o.json")

@@ -17,9 +17,9 @@ from ammorbit import (AmmError, AxiomReport, ConfigError, DomainError, DriftSeri
                       check_all, check_equal_weights, check_slices, constant_sum,
                       decompose_check, drift_to_csv, exp_map, fee_drift, fee_swap,
                       fit_log_hyperplane, fit_log_line, make_rule, orbit_to_csv, out_amount,
-                      pareto_geq, parse_rule, product, sample_orbit, scale, scaling_factor,
-                      shrink, swap, verify_level_sets, weight_from_slope, weighted_gmean,
-                      weighted_product, wgm)
+                      pareto_geq, parse_rule, product, rel_close, sample_orbit, scale,
+                      scaling_factor, shrink, swap, verify_level_sets, weight_from_slope,
+                      weighted_gmean, weighted_product, wgm)
 from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
@@ -150,6 +150,12 @@ MALFORMED = [
     ("check_equal_weights str tol",
      lambda: check_equal_weights(HyperplaneFit(np.ones(2), 0.0, np.full(2, 0.5), 0.0), "x"),
      ConfigError),
+    ("rel_close str", lambda: rel_close(["x"], [1.0]), MalformedInputError),
+    ("rel_close big", lambda: rel_close([BIG], [1.0]), MalformedInputError),
+    ("rel_close ragged", lambda: rel_close([[1.0], [1.0, 2.0]], [1.0]), MalformedInputError),
+    ("rel_close None tol", lambda: rel_close([1.0], [1.0], None), ConfigError),
+    ("chain moves None", lambda: chain(wgm(0.5), [1, 1], None), UsageError),
+    ("fee_drift moves None", lambda: fee_drift(wgm(0.5), [1, 1], None, 0.0), UsageError),
 ]
 
 

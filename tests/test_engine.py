@@ -124,35 +124,6 @@ def test_overflowing_swap_is_a_violation_on_both_paths(w):
     assert batched == report_to_dict(check_validity_invariance(scalar(wgm(w)), cfg))
 
 
-SCREENED = [wgm(1e-6), wgm(0.08), wgm(0.3), wgm(0.9), wgm(1.0 - 1e-6), product(),
-            weighted_product([0.2, 0.3, 0.5]), weighted_product([1e-6, 0.5, 0.5 - 1e-6]),
-            weighted_product([0.1, 0.2, 0.3, 0.4]),
-            weighted_product([1e-6, 0.3, 0.3, 0.4 - 1e-6])]
-
-
-@pytest.mark.parametrize("rule", SCREENED, ids=lambda r: r.name)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_screen_is_within_an_eighth_of_its_bound_and_vouches_for_no_libm_failure(rule):
-    screen = _screen_of(rule)
-    vouched_rows = 0
-    for chunk in range(4):
-        s, i, j, amount = extreme_inputs(trial_rng(2040 + chunk, rule.dimension),
-                                         rule.dimension, 250_000)
-        exact = rule.swap_batch(s, i, j, amount)
-        out, bound = screen.screen(s, i, j, amount)
-        vouched = np.isfinite(out).all(axis=1)
-        # A row is vouched for whole or not at all, and never where libm
-        # overflows, underflows to zero or raises.
-        assert not np.any(np.isnan(out[vouched])) and np.all(np.isnan(out[~vouched]))
-        assert not np.any(vouched & ~(np.isfinite(exact) & (exact > 0.0)).all(axis=1))
-        distance = np.abs(out - exact)[vouched]
-        assert np.all(distance <= bound[vouched] / 8.0 * np.abs(out[vouched]))
-        vouched_rows += int(vouched.sum())
-    # Most rows are vouched for, at extreme weights those that trade into
-    # the light token too.
-    assert vouched_rows > 400_000
-
-
 def reports(rule, cfg, check=check_all):
     found = check(rule, cfg)
     return [report_to_dict(r) for r in (found if isinstance(found, list) else [found])]
@@ -165,21 +136,16 @@ OVERFLOW = {"state_range": (BIG, BIG), "amount_range": (1e-300, 1e-300)}
 @pytest.mark.parametrize("case", [
     *[(text, seed, {}, check_all) for text in ("wgm:0.3", "product", "wprod:0.2,0.3,0.5",
                                                "wgm:1e-6") for seed in (0, 7, 2**63 + 5)],
-    *[(f"wgm:{w}", 3, OVERFLOW, check_validity_invariance) for w in (0.3, 0.9)],
+    # Chains that start at the largest double: log_chains vouches for none.
+    *[(f"wgm:{w}", 3, OVERFLOW, check_pareto) for w in (0.3, 0.9)],
 ], ids=lambda c: f"{c[0]}-{c[1]}-{'overflow' if c[2] else 'default'}")
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
     text, seed, ranges, check = case
-    # Each screened row moves by its bound, and each screened chain's logs
-    # by its delta, with random signs per coordinate.
+    # Each chain's logs move by its delta, with random signs per coordinate.
     rng = trial_rng(seed, 99)
-    calls, chain_calls = [], []
-    true_screen, true_chains = _PairBatch.screen, _PairBatch.log_chains
-
-    def perturbed(self, s, i, j, amount):
-        out, bound = true_screen(self, s, i, j, amount)
-        calls.append(len(s))
-        return out * (1.0 + rng.choice([-1.0, 1.0], out.shape) * bound), bound
+    chain_calls = []
+    true_chains = _PairBatch.log_chains
 
     def perturbed_chains(self, start, i, j, fractions):
         logs, delta = true_chains(self, start, i, j, fractions)
@@ -187,12 +153,11 @@ def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
         shift = np.where(np.isfinite(delta), delta, 0.0)[:, None, None]
         return logs + rng.choice([-1.0, 1.0], logs.shape) * shift, delta
 
-    monkeypatch.setattr(_PairBatch, "screen", perturbed)
     monkeypatch.setattr(_PairBatch, "log_chains", perturbed_chains)
     rule = parse_rule(text)
     cfg = TrialConfig(seed=seed, trials=300, **ranges)
     assert reports(rule, cfg, check) == reports(scalar(rule), cfg, check)
-    assert calls and (chain_calls or check is not check_all)
+    assert chain_calls
 
 
 def counted_exact_rows(monkeypatch) -> dict:
@@ -201,10 +166,10 @@ def counted_exact_rows(monkeypatch) -> dict:
     that reach the scalar verdict."""
     exact_rows = dict.fromkeys(axioms._ENGINE, 0)
     for axiom, (draw, judge) in list(axioms._ENGINE.items()):
-        def counted(rule, cfg, drawn, screen, axiom=axiom, judge=judge):
-            if not screen:
+        def counted(rule, cfg, drawn, axiom=axiom, judge=judge):
+            if axiom != "pareto_efficiency":
                 exact_rows[axiom] += len(next(iter(drawn.values())))
-            return judge(rule, cfg, drawn, screen)
+            return judge(rule, cfg, drawn)
 
         monkeypatch.setitem(axioms._ENGINE, axiom, (draw, counted))
     verdict = axioms._scalar_verdict
@@ -218,16 +183,24 @@ def counted_exact_rows(monkeypatch) -> dict:
     return exact_rows
 
 
-@pytest.mark.parametrize("text,tolerance", [("wgm:0.3", 1e-13), ("product", 1e-15)])
-def test_a_tight_tolerance_sends_no_validity_or_pareto_row_to_swap_batch(
-        monkeypatch, text, tolerance):
-    # Validity and Pareto verdicts never read the tolerance, so the screen
-    # clears their rows at any tolerance.
+@pytest.mark.parametrize("text", ["wgm:0.3", "product", "wprod:0.2,0.3,0.5"])
+def test_every_single_swap_row_reaches_swap_batch_and_no_chain_does(monkeypatch, text):
+    # Rows drawn per axiom, counted before counted_exact_rows wraps the judges.
+    drawn_rows = dict.fromkeys(axioms._ENGINE, 0)
+    for axiom, (draw, judge) in list(axioms._ENGINE.items()):
+        def counted_draw(draws, trials, cfg, n, axiom=axiom, draw=draw):
+            drawn_rows[axiom] += len(trials)
+            return draw(draws, trials, cfg, n)
+
+        monkeypatch.setitem(axioms._ENGINE, axiom, (counted_draw, judge))
     exact_rows = counted_exact_rows(monkeypatch)
     rule = parse_rule(text)
-    cfg = TrialConfig(seed=7, trials=2000, tolerance=tolerance)
+    cfg = TrialConfig(seed=7, trials=2000)
     batched = reports(rule, cfg)
-    assert exact_rows["validity_invariance"] == exact_rows["pareto_efficiency"] == 0
+    single_swap = [a for a in axioms._ENGINE if a != "pareto_efficiency"]
+    assert all(exact_rows[a] == drawn_rows[a] for a in single_swap)
+    assert all(drawn_rows[r["axiom"]] >= r["trials"] for r in batched)
+    assert exact_rows["pareto_efficiency"] == 0 and drawn_rows["pareto_efficiency"] == 2000
     assert batched == reports(scalar(rule), cfg)
 
 
@@ -263,7 +236,7 @@ def test_a_failing_chain_is_walked_once_and_replayed_once(monkeypatch, text):
 
 
 def test_a_replaced_domain_is_judged_by_swap_on_every_route():
-    # Reserve 0 capped at 2, which the batch path and the screen never check.
+    # Reserve 0 capped at 2, which the batch path and log_chains never check.
     capped = dataclasses.replace(wgm(0.3),
                                  domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
     assert _screen_of(capped) is None
@@ -317,7 +290,7 @@ def test_custom_swap_batch_is_never_screened(monkeypatch):
     def no_screen(self, *args):
         raise RuntimeError("a custom swap_batch was screened")
 
-    monkeypatch.setattr(_PairBatch, "screen", no_screen)
+    monkeypatch.setattr(_PairBatch, "log_chains", no_screen)
     leaky = dataclasses.replace(wgm(0.3), swap_in=leaky_swap_in, swap_batch=leaky_swap_batch)
     assert _screen_of(leaky) is None
     cfg = TrialConfig(seed=7, trials=200)
@@ -330,7 +303,7 @@ def test_custom_swap_batch_is_never_screened(monkeypatch):
     assert _screen_of(broken) is None
     with pytest.raises(InternalError):
         check_validity_invariance(broken, cfg)
-    # replace() keeps a built-in screen; csum's kernel calls no libm, so it has none.
+    # replace() keeps a built-in log_chains; csum's kernel calls no libm, so it has none.
     rule = product()
     assert _screen_of(rule) is rule.swap_batch
     assert _screen_of(constant_sum()) is None
@@ -423,7 +396,7 @@ def test_chain_pair_draw_matches_scalar_pair_draws(n):
         assert after[1][trial, 0] == log_uniform(rng, 1e-3, 1.0)
 
 
-# The screened Pareto judge: a chain's logs in one cumulative sum, within
+# The Pareto judge: a chain's logs in one cumulative sum, within
 # delta of the exact chain's, and the invariant-window certificate on them.
 
 def exact_chains(rule: SwapRule, drawn: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +408,7 @@ def exact_chains(rule: SwapRule, drawn: dict) -> tuple[np.ndarray, np.ndarray]:
     alive = np.ones(len(i), dtype=bool)
     for k in range(i.shape[1]):
         current = states[-1]
-        out, ok, _ = swap_rows(rule, current, i[:, k], j[:, k], x[:, k] * current[rows, i[:, k]])
+        out, ok = swap_rows(rule, current, i[:, k], j[:, k], x[:, k] * current[rows, i[:, k]])
         alive &= ok & (out > 0.0).all(axis=1)
         states.append(np.where(alive[:, None], out, current))
     return np.stack(states, axis=1), alive
