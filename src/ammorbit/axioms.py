@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (AmmError, ConfigError, InternalError, MalformedInputError, UsageError,
                      _require_tolerance, is_real, require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
-from .rules import _EPS, SwapRule, _batch_of, _screen_of, _walk, _Walk, swap, swap_rows
+from .rules import _EPS, SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
 from .state import _close_rows, _factors, _positive, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
@@ -98,6 +98,8 @@ def _sample_state(draws: Draws, cfg: TrialConfig, n: int, hug_boundary) -> np.nd
     return draws.log_uniform(lo, np.where(hug_boundary, min(hi, 4.0 * lo), hi), n)
 
 
+# Wide ranges overflow amounts and rescaled states to inf, which swap() rejects.
+@np.errstate(over="ignore")
 def _sample_amount(draws: Draws, cfg: TrialConfig, reserve: np.ndarray) -> np.ndarray:
     return draws.log_uniform(cfg.amount_range[0], cfg.amount_range[1], 1)[:, 0] * reserve
 
@@ -117,6 +119,7 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
     return False, out.tolist(), expected
 
 
+@np.errstate(over="ignore")
 def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
     """First (dominating, dominated) index pair of a chain's states (m, n),
     in row-major order, under the 1e-12 margin, or None.
@@ -126,7 +129,7 @@ def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
     coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
     symmetric in p and q, so on finite inputs "q is not above p" is
     exactly the test "p - q >= -slack" on every coordinate; no state is
-    above itself.
+    above itself.  A difference that overflows is an infinity, above any slack.
     """
     size = len(states)
     magnitude = np.abs(states)
@@ -170,6 +173,7 @@ def _pareto_verdict(walk: _Walk) -> tuple[bool, object]:
     return True, observed
 
 
+@np.errstate(over="ignore")
 def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
     i, j, amount = inputs["token_in"], inputs["token_out"], inputs["amount"]
     try:
@@ -261,6 +265,7 @@ def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray
     return ~(ok & np.all(out > 0.0, axis=1))
 
 
+@np.errstate(over="ignore")
 def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     s, f, i, j, amount = (drawn[key] for key in
                           ("state", "factors", "token_in", "token_out", "amount"))
@@ -350,7 +355,7 @@ def _first_violation(rule: SwapRule, cfg: TrialConfig, axiom: str,
     flagged row is returned whatever its scalar verdict, so the replay
     catches a swap_batch that disagrees with swap()."""
     chains = axiom == "pareto_efficiency"
-    judged = (_screen_of if chains else _batch_of)(rule) is not None
+    judged = (_screen_of(rule) if chains else rule.swap_batch) is not None
     rows = np.arange(len(next(iter(drawn.values()))))
     if judged:
         rows = rows[_ENGINE[axiom][1](rule, cfg, drawn)]

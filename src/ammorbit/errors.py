@@ -2,8 +2,8 @@
 
 Every error raised on purpose derives from AmmError so callers can catch
 one base class at the CLI boundary and map it to an exit code.
-require_integer, require_seed, require_real (over is_real), require_range and
-the number reader read_float are shared by config objects and scalar arguments.
+require_integer, require_seed, require_real (over is_real), require_nonnegative,
+require_range and the number reader read_float are shared by config objects and scalar arguments.
 """
 
 from __future__ import annotations
@@ -54,6 +54,12 @@ def require_real(name: str, value) -> None:
     """Raise ConfigError unless value is a real number (bool excluded)."""
     if not is_real(value):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
+
+
+def require_nonnegative(name: str, value) -> None:
+    """Raise ConfigError unless value is a real number >= 0 (NaN is not)."""
+    if not (is_real(value) and value >= 0.0):
+        raise ConfigError(f"{name} must be a real number >= 0, got {value!r}")
 
 
 def _require_tolerance(value) -> None:

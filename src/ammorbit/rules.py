@@ -42,11 +42,9 @@ class SwapRule:
     token indices i and j (B,) and amounts (B,), it returns the (B, n)
     post-trade states, each row equal bit for bit to swap_in on that row,
     with a non-finite row where swap_in would raise; it is passed only
-    rows that swap() accepts.  The batch path never calls domain, so it
-    is used only while domain is is_valid, the default.  Each block of
-    validity, unit and symmetry trials runs two stages: swap_batch keeps
-    the trials it flags, and swap() judges the first of them.  Pareto
-    chains never go through swap_batch.
+    rows that swap() accepts, and never calls domain.  It is set to None
+    when domain is not is_valid, or when it is the batch of a built-in
+    rule whose swap_in is not this rule's.
     """
 
     name: str
@@ -61,6 +59,9 @@ class SwapRule:
         require_integer("dimension", self.dimension)
         if self.dimension < 2:
             raise ConfigError(f"dimension must be >= 2, got {self.dimension}")
+        owner = getattr(self.swap_batch, "__self__", None)
+        if self.domain is not is_valid or (type(owner) is _Pair and owner is not self.swap_in):
+            object.__setattr__(self, "swap_batch", None)
 
     def invariant(self, s) -> float:
         """Value of the rule's conserved quantity at s, if it declares one."""
@@ -103,45 +104,18 @@ def _sum_pair(si, sj, wi, wj, amount, log, exp):
     return si + amount, sj - amount
 
 
-def _libm(fn: Callable[[float], float], x: np.ndarray) -> np.ndarray:
+def _libm(fn: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
     """fn (a math-module function) applied elementwise: np.log and np.exp
     may differ from libm in the last bit."""
-    return np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
-
-
-def _row_log(x: np.ndarray) -> np.ndarray:
-    return _libm(math.log, x)
-
-
-def _row_exp(x: np.ndarray) -> np.ndarray:
-    try:
-        return _libm(math.exp, x)
-    except OverflowError:
-        # Where math.exp raises, the row gets inf, a non-finite coordinate.
-        return _libm(_exp_or_inf, x)
+    return lambda x: np.fromiter(map(fn, x.tolist()), dtype=float, count=x.size)
 
 
 def _exp_or_inf(x: float) -> float:
+    """math.exp, or inf where it raises: the row gets a non-finite coordinate."""
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
-
-
-class _PairSwap:
-    """swap_in of a rule built by _pair_rule: the kernel on floats, with
-    math.log and math.exp.  The trusted step runs the same kernel and weights
-    on floats; a wrapper, even one made by functools.wraps, is not a _PairSwap."""
-
-    __slots__ = ("kernel", "w")
-
-    def __init__(self, kernel: Callable[..., tuple], w: np.ndarray):
-        self.kernel, self.w = kernel, w
-
-    def __call__(self, s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
-        out = s.copy()
-        out[i], out[j] = self.kernel(s[i], s[j], self.w[i], self.w[j], amount, math.log, math.exp)
-        return out
 
 
 # log_chains' bound is in units of 64 epsilons: libm's log and exp are each
@@ -154,25 +128,32 @@ _SCREEN_ULPS = 64.0 * _EPS
 _SCREEN_CAP, _SCREEN_RANGE = 2.0 ** -20, (2.0 ** -1000, 2.0 ** 1000)
 
 
-class _PairBatch:
-    """swap_batch of a rule built by _pair_rule: the kernel on gathered rows
-    with libm per element, so each row equals swap_in bit for bit.
-    log_chains() bounds whole chains of the same kernel in log space; a custom
-    swap_batch is not a _PairBatch, so replace(rule, swap_batch=...) drops it."""
+class _Pair:
+    """A built-in rule's trade, kernel(s_i, s_j, w_i, w_j, amount, log, exp).
+    Called, it is swap_in: the kernel on floats, as the trusted step runs it.
+    rows, the rule's swap_batch, runs it on gathered rows with libm per
+    element, equal to swap_in bit for bit; log_chains bounds whole chains.
+    A wrapper, even one made by functools.wraps, is not a _Pair."""
 
     __slots__ = ("kernel", "w")
 
     def __init__(self, kernel: Callable[..., tuple], w: np.ndarray):
         self.kernel, self.w = kernel, w
 
-    def __call__(self, s: np.ndarray, i: np.ndarray, j: np.ndarray,
-                 amount: np.ndarray) -> np.ndarray:
-        rows = np.arange(s.shape[0])
-        new_i, new_j = self.kernel(s[rows, i], s[rows, j], self.w[i], self.w[j], amount,
-                                   _row_log, _row_exp)
+    def __call__(self, s: np.ndarray, i: int, j: int, amount: float) -> np.ndarray:
         out = s.copy()
-        out[rows, i] = new_i
-        out[rows, j] = new_j
+        # On Python floats an overflow makes inf without a numpy warning.
+        out[i], out[j] = self.kernel(float(s[i]), float(s[j]), float(self.w[i]),
+                                     float(self.w[j]), float(amount), math.log, math.exp)
+        return out
+
+    @np.errstate(over="ignore")
+    def rows(self, s: np.ndarray, i: np.ndarray, j: np.ndarray,
+             amount: np.ndarray) -> np.ndarray:
+        rows = np.arange(s.shape[0])
+        out = s.copy()
+        out[rows, i], out[rows, j] = self.kernel(s[rows, i], s[rows, j], self.w[i], self.w[j],
+                                                 amount, _libm(math.log), _libm(_exp_or_inf))
         return out
 
     def log_chains(self, start, i, j, fractions) -> tuple[np.ndarray, np.ndarray]:
@@ -206,23 +187,17 @@ class _PairBatch:
 
 def _pair_rule(name: str, kernel: Callable[..., tuple], w: np.ndarray,
                weights: np.ndarray | None) -> SwapRule:
-    """A rule whose trade is kernel(s_i, s_j, w_i, w_j, amount, log, exp) ->
-    (new_i, new_j), written once: swap_in runs it on floats with math.log
-    and math.exp, swap_batch on gathered rows with libm per element, so the
-    two agree bit for bit, and the trusted step runs it on Python floats."""
-    return SwapRule(name=name, dimension=int(w.size), swap_in=_PairSwap(kernel, w),
-                    weights=weights, swap_batch=_PairBatch(kernel, w))
+    """A rule whose swap_in is _Pair(kernel, w) and whose swap_batch is its rows."""
+    pair = _Pair(kernel, w)
+    return SwapRule(name=name, dimension=int(w.size), swap_in=pair, weights=weights,
+                    swap_batch=pair.rows)
 
 
-def _batch_of(rule: SwapRule):
-    """rule.swap_batch while domain is is_valid, the one the batch path assumes; else None."""
-    return rule.swap_batch if rule.domain is is_valid else None
-
-
-def _screen_of(rule: SwapRule) -> _PairBatch | None:
-    """_batch_of(rule) if it is a _PairBatch whose kernel calls libm, the one log_chains bounds."""
-    batch = _batch_of(rule)
-    return batch if type(batch) is _PairBatch and batch.kernel is not _sum_pair else None
+def _screen_of(rule: SwapRule) -> _Pair | None:
+    """The _Pair whose rows are rule.swap_batch, which SwapRule makes its
+    swap_in, if its kernel is the weighted one that log_chains bounds."""
+    pair = getattr(rule.swap_batch, "__self__", None)
+    return pair if type(pair) is _Pair and pair.kernel is _weighted_pair else None
 
 
 def weighted_product(weights: Sequence[float]) -> SwapRule:
@@ -345,11 +320,11 @@ def _failed_at(rule: SwapRule, state: list, i, j, amount, exc: Exception | None 
 
 def _stepper(rule: SwapRule, fee: float = 0.0):
     """step(s, i, j, amount): the raw post-trade state of a checked move from
-    a state s in rule's domain, both lists of floats.  A _PairSwap's kernel
+    a state s in rule's domain, both lists of floats.  A _Pair's kernel
     runs on the floats, any other swap_in on a read-only array.  A nonzero
     fee prices (1 - fee) * amount through the rule, banks the full amount in
     reserve i, and pays out of j what the priced trade does."""
-    swap_in, pair = rule.swap_in, type(rule.swap_in) is _PairSwap
+    swap_in, pair = rule.swap_in, type(rule.swap_in) is _Pair
     kernel, w = (swap_in.kernel, swap_in.w.tolist()) if pair else (None, None)
     log, exp, inf = math.log, math.exp, math.inf
 

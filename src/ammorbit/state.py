@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DomainError, MalformedInputError, NumericError, UsageError, require_real
+from .errors import DomainError, MalformedInputError, NumericError, UsageError, require_nonnegative
 
 # Relative tolerance used for float equality throughout the core.
 REL_TOL = 1e-12
@@ -149,7 +149,7 @@ def _gmean(w: np.ndarray, logs: np.ndarray) -> float:
 
 def rel_close(a, b, tol: float = REL_TOL) -> bool:
     """Coordinate-wise |a-b| <= tol * max(|a|,|b|), with exact equality allowed."""
-    require_real("tolerance", tol)
+    require_nonnegative("tolerance", tol)
     try:
         aa = np.asarray(a, dtype=float)
         bb = np.asarray(b, dtype=float)

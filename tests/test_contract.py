@@ -154,6 +154,15 @@ MALFORMED = [
     ("rel_close big", lambda: rel_close([BIG], [1.0]), MalformedInputError),
     ("rel_close ragged", lambda: rel_close([[1.0], [1.0, 2.0]], [1.0]), MalformedInputError),
     ("rel_close None tol", lambda: rel_close([1.0], [1.0], None), ConfigError),
+    # A NaN or negative tolerance would read every pair as "not close".
+    ("rel_close negative tol", lambda: rel_close(1.0, 1.0, -1.0), ConfigError),
+    ("rel_close NaN tol", lambda: rel_close(1.0, 1.0, float("nan")), ConfigError),
+    ("check_equal_weights NaN tol",
+     lambda: check_equal_weights(HyperplaneFit(np.ones(2), 0.0, np.full(2, 0.5), 0.0),
+                                 float("nan")), ConfigError),
+    ("check_equal_weights negative tol",
+     lambda: check_equal_weights(HyperplaneFit(np.ones(2), 0.0, np.full(2, 0.5), 0.0), -0.1),
+     ConfigError),
     ("chain moves None", lambda: chain(wgm(0.5), [1, 1], None), UsageError),
     ("fee_drift moves None", lambda: fee_drift(wgm(0.5), [1, 1], None, 0.0), UsageError),
 ]

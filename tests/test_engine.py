@@ -31,7 +31,7 @@ from ammorbit import (
 )
 from ammorbit import axioms
 from ammorbit.rand import log_uniform, trial_draws, trial_rng
-from ammorbit.rules import _PairBatch, _screen_of, swap_rows
+from ammorbit.rules import _Pair, _screen_of, swap_rows
 
 RULES = [f"wgm:{w}" for w in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)] + [
     "wgm:1e-6", "product", "wprod:0.2,0.3,0.5"]
@@ -96,7 +96,6 @@ def extreme_inputs(rng: np.random.Generator, n: int, count: int):
                                   weighted_product([0.1, 0.2, 0.3, 0.4]),
                                   product(), constant_sum()],
                          ids=lambda r: r.name)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_swap_batch_matches_swap_in_bit_for_bit(rule):
     s, i, j, amount = extreme_inputs(trial_rng(2030, rule.dimension), rule.dimension, 10_000)
     batch = rule.swap_batch(s, i, j, amount)
@@ -139,13 +138,12 @@ OVERFLOW = {"state_range": (BIG, BIG), "amount_range": (1e-300, 1e-300)}
     # Chains that start at the largest double: log_chains vouches for none.
     *[(f"wgm:{w}", 3, OVERFLOW, check_pareto) for w in (0.3, 0.9)],
 ], ids=lambda c: f"{c[0]}-{c[1]}-{'overflow' if c[2] else 'default'}")
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
     text, seed, ranges, check = case
     # Each chain's logs move by its delta, with random signs per coordinate.
     rng = trial_rng(seed, 99)
     chain_calls = []
-    true_chains = _PairBatch.log_chains
+    true_chains = _Pair.log_chains
 
     def perturbed_chains(self, start, i, j, fractions):
         logs, delta = true_chains(self, start, i, j, fractions)
@@ -153,7 +151,7 @@ def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
         shift = np.where(np.isfinite(delta), delta, 0.0)[:, None, None]
         return logs + rng.choice([-1.0, 1.0], logs.shape) * shift, delta
 
-    monkeypatch.setattr(_PairBatch, "log_chains", perturbed_chains)
+    monkeypatch.setattr(_Pair, "log_chains", perturbed_chains)
     rule = parse_rule(text)
     cfg = TrialConfig(seed=seed, trials=300, **ranges)
     assert reports(rule, cfg, check) == reports(scalar(rule), cfg, check)
@@ -239,7 +237,7 @@ def test_a_replaced_domain_is_judged_by_swap_on_every_route():
     # Reserve 0 capped at 2, which the batch path and log_chains never check.
     capped = dataclasses.replace(wgm(0.3),
                                  domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
-    assert _screen_of(capped) is None
+    assert _screen_of(capped) is None and capped.swap_batch is None
     cfg = TrialConfig(seed=7, trials=200)
     batched = reports(capped, cfg)
     assert batched == reports(scalar(capped), cfg)
@@ -290,7 +288,7 @@ def test_custom_swap_batch_is_never_screened(monkeypatch):
     def no_screen(self, *args):
         raise RuntimeError("a custom swap_batch was screened")
 
-    monkeypatch.setattr(_PairBatch, "log_chains", no_screen)
+    monkeypatch.setattr(_Pair, "log_chains", no_screen)
     leaky = dataclasses.replace(wgm(0.3), swap_in=leaky_swap_in, swap_batch=leaky_swap_batch)
     assert _screen_of(leaky) is None
     cfg = TrialConfig(seed=7, trials=200)
@@ -305,8 +303,34 @@ def test_custom_swap_batch_is_never_screened(monkeypatch):
         check_validity_invariance(broken, cfg)
     # replace() keeps a built-in log_chains; csum's kernel calls no libm, so it has none.
     rule = product()
-    assert _screen_of(rule) is rule.swap_batch
+    assert _screen_of(rule) is rule.swap_in
     assert _screen_of(constant_sum()) is None
+
+
+def test_a_replaced_swap_in_is_judged_by_swap_alone():
+    # Product's batch and certificate are not csum's: csum's swap_in judges alone.
+    cfg = TrialConfig(seed=7, trials=1000)
+    mixed = dataclasses.replace(product(), name="sum-in-product",
+                                swap_in=constant_sum().swap_in)
+    assert mixed.swap_batch is None and _screen_of(mixed) is None
+    want = [{**r, "rule": "sum-in-product"} for r in reports(constant_sum(), cfg)]
+    assert reports(mixed, cfg) == want
+    assert not all(r["passed"] for r in want)
+    leaky = dataclasses.replace(product(), name="leaky", swap_in=leaky_swap_in)
+    assert leaky.swap_batch is None
+    batched = reports(leaky, cfg, check_pareto)
+    assert not batched[0]["passed"]
+    plain = SwapRule(name="leaky", dimension=2, swap_in=leaky_swap_in)
+    assert batched == reports(plain, cfg, check_pareto)
+
+
+def test_a_borrowed_built_in_swap_batch_is_dropped():
+    borrowed = dataclasses.replace(wgm(0.3), swap_batch=wgm(0.7).swap_batch)
+    assert borrowed.swap_batch is None and _screen_of(borrowed) is None
+    cfg = TrialConfig(seed=7, trials=300)
+    assert reports(borrowed, cfg) == reports(wgm(0.3), cfg)
+    rule = wgm(0.3)
+    assert dataclasses.replace(rule, name="renamed").swap_batch is rule.swap_batch
 
 
 def test_pareto_chains_are_walked_through_swap_not_a_custom_swap_batch():
