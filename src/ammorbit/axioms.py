@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +31,7 @@ from .errors import (AmmError, ConfigError, InternalError, MalformedInputError, 
                      _require_tolerance, is_real, require_integer, require_range, require_seed)
 from .rand import PRNG_ID, Draws, trial_draws
 from .rules import _EPS, SwapRule, _screen_of, _walk, _Walk, swap, swap_rows
-from .state import _close_rows, _factors, _positive, as_reserves, rel_close
+from .state import _close_rows, _factors, as_reserves, rel_close
 
 # Dominance margin: coordinates within this relative slack count as ties,
 # and domination needs at least one coordinate above it.
@@ -114,9 +115,7 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
         out = swap(rule, inputs["state"], inputs["token_in"], inputs["token_out"], inputs["amount"])
     except AmmError as exc:
         return True, f"error: {exc}", expected
-    if not _positive(out):
-        return True, out.tolist(), expected
-    return False, out.tolist(), expected
+    return not np.all(out > 0.0, axis=-1), out.tolist(), expected
 
 
 @np.errstate(over="ignore")
@@ -173,14 +172,27 @@ def _pareto_verdict(walk: _Walk) -> tuple[bool, object]:
     return True, observed
 
 
+def _unit_sides(swap, s, f, i, j, amount) -> tuple[np.ndarray, np.ndarray]:
+    """swap(s * f, i, j, f_i * amount) and swap(s, i, j, amount) * f, the
+    latter first, so f_i is read only once its swap has checked i."""
+    rhs = swap(s, i, j, amount) * f
+    f_i = np.take_along_axis(f, np.expand_dims(i, -1), -1)[..., 0]
+    return swap(s * f, i, j, f_i * amount), rhs
+
+
+def _mirror_sides(swap, s, first, second, amount) -> tuple[np.ndarray, np.ndarray]:
+    """The mirrored trade on the mirrored state, and the mirror of the trade."""
+    t = swap(s, first, second, amount)
+    return swap(s[..., ::-1], second, first, amount), t[..., ::-1]
+
+
 @np.errstate(over="ignore")
 def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
     i, j, amount = inputs["token_in"], inputs["token_out"], inputs["amount"]
     try:
         s = as_reserves(inputs["state"])
-        f = _factors(inputs["factors"], s.shape)
-        rhs = swap(rule, s, i, j, amount) * f
-        lhs = swap(rule, s * f, i, j, f[i] * amount)
+        lhs, rhs = _unit_sides(partial(swap, rule), s, _factors(inputs["factors"], s.shape),
+                               i, j, amount)
     except AmmError as exc:
         return True, f"error: {exc}", "rescaling units commutes with swapping"
     return (not rel_close(lhs, rhs, tol)), lhs.tolist(), rhs.tolist()
@@ -189,12 +201,10 @@ def _violates_unit_invariance(rule: SwapRule, inputs: dict, tol: float) -> tuple
 def _violates_token_symmetry(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
     amount = inputs["amount"]
     try:
-        s = as_reserves(inputs["state"])
-        t = swap(rule, s, 0, 1, amount)
-        mirrored = swap(rule, s[::-1], 1, 0, amount)
+        mirrored, expected = _mirror_sides(partial(swap, rule), as_reserves(inputs["state"]),
+                                           0, 1, amount)
     except AmmError as exc:
         return True, f"error: {exc}", "mirrored trade lands on the mirrored state"
-    expected = t[::-1]
     return (not rel_close(mirrored, expected, tol)), mirrored.tolist(), expected.tolist()
 
 
@@ -254,33 +264,29 @@ def _trial(drawn: dict, k: int) -> dict:
 
 # Batch verdicts.  A judge returns the violation mask of a block of drawn
 # trials.  The validity, unit and symmetry judges run the predicates' own
-# float operations through swap_rows, which behaves as swap() on each row,
-# so a trial's verdict is the predicate's verdict.  A chain is never judged
+# tests through swap_rows, which behaves as swap() on each row and gives a
+# NaN row, neither positive nor close, where swap() raises; so a trial's
+# verdict is the predicate's verdict.  A chain is never judged
 # through swap_batch: its judge clears it from its logs (log_chains and
 # _certified), and one it does not clear is walked by _walk, as its witness is.
 
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
-    out, ok = swap_rows(rule, drawn["state"], drawn["token_in"], drawn["token_out"],
-                        drawn["amount"])
-    return ~(ok & np.all(out > 0.0, axis=1))
+    out = swap_rows(rule, *(drawn[key] for key in _WITNESS_INPUTS["validity_invariance"]))
+    return ~np.all(out > 0.0, axis=-1)
 
 
 @np.errstate(over="ignore")
 def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
-    s, f, i, j, amount = (drawn[key] for key in
-                          ("state", "factors", "token_in", "token_out", "amount"))
-    rhs, ok = swap_rows(rule, s, i, j, amount)
-    lhs, ok_scaled = swap_rows(rule, s * f, i, j, f[np.arange(len(s)), i] * amount)
-    return ~(ok & ok_scaled & _close_rows(lhs, rhs * f, cfg.tolerance))
+    sides = _unit_sides(partial(swap_rows, rule),
+                        *(drawn[key] for key in _WITNESS_INPUTS["unit_invariance"]))
+    return ~_close_rows(*sides, cfg.tolerance)
 
 
 def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
-    s, amount = drawn["state"], drawn["amount"]
-    first = np.zeros(len(s), dtype=int)
-    second = first + 1
-    t, ok = swap_rows(rule, s, first, second, amount)
-    mirrored, ok_mirrored = swap_rows(rule, s[:, ::-1], second, first, amount)
-    return ~(ok & ok_mirrored & _close_rows(mirrored, t[:, ::-1], cfg.tolerance))
+    first = np.zeros(len(drawn["state"]), dtype=int)
+    sides = _mirror_sides(partial(swap_rows, rule), drawn["state"], first, first + 1,
+                          drawn["amount"])
+    return ~_close_rows(*sides, cfg.tolerance)
 
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
@@ -349,19 +355,19 @@ def _first_violation(rule: SwapRule, cfg: TrialConfig, axiom: str,
     """Lowest row of a block of drawn trials that violates the axiom, with
     its witness inputs, or None.
 
-    A chain's judge, when the rule has log_chains, drops the chains it
-    clears; a batching rule's judge keeps the validity, unit and symmetry
-    rows it flags; the scalar verdict takes what is left in index order.  A
-    flagged row is returned whatever its scalar verdict, so the replay
-    catches a swap_batch that disagrees with swap()."""
+    A batching rule's first flagged validity, unit or symmetry row is
+    returned as drawn: the replay in _run_trials alone judges it, and so
+    catches a swap_batch that disagrees with swap().  Otherwise the scalar
+    verdict runs in index order on every row no chain certificate clears."""
     chains = axiom == "pareto_efficiency"
-    judged = (_screen_of(rule) if chains else rule.swap_batch) is not None
     rows = np.arange(len(next(iter(drawn.values()))))
-    if judged:
+    if (_screen_of(rule) if chains else rule.swap_batch) is not None:
         rows = rows[_ENGINE[axiom][1](rule, cfg, drawn)]
+        if not chains:
+            return (int(rows[0]), _trial(drawn, rows[0])) if rows.size else None
     for k in rows.tolist():
         inputs, violated = _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))
-        if violated or (judged and not chains):
+        if violated:
             return k, inputs
     return None
 
@@ -370,9 +376,8 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                 scope: str | None = None) -> AxiomReport:
     """Run an axiom's trials in index order, in blocks, up to the first violation.
 
-    Each block runs the one pipeline of _first_violation: the axiom's batch
-    judge, then the scalar verdict, whose witness inputs the predicate that
-    shrink() replays must confirm.
+    Each block runs _first_violation, whose witness inputs the predicate
+    that shrink() replays must confirm.
     """
     n = rule.dimension
     # Each block computes up front the Philox words per trial that the

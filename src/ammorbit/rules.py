@@ -452,22 +452,13 @@ def _describe_exit(walk: _Walk) -> str:
 
 
 def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
-              amount: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """swap() on every row through rule.swap_batch.
-
-    Returns the outputs and a mask of the rows on which swap() returns
-    rather than raises; rows swap() would reject are computed on a stand-in
-    and masked out.  For rules whose domain is the default one.
-    """
+              amount: np.ndarray) -> np.ndarray:
+    """swap() on every row through rule.swap_batch, with a NaN row where swap()
+    would raise, computed on a stand-in.  For rules with the default domain."""
     ok = ((s > 0.0) & (s < math.inf)).all(axis=1) & (amount >= 0.0) & (amount < math.inf)
-    if not ok.all():
-        s = np.where(ok[:, None], s, 1.0)
-        amount = np.where(ok, amount, 0.0)
-    out = rule.swap_batch(s, i, j, amount)
-    zero = amount == 0.0
-    if zero.any():
-        out = np.where(zero[:, None], s, out)
-    return out, ok & np.isfinite(out).all(axis=1)
+    s, amount = np.where(ok[:, None], s, 1.0), np.where(ok, amount, 0.0)
+    out = np.where((amount == 0.0)[:, None], s, rule.swap_batch(s, i, j, amount))
+    return np.where((ok & np.isfinite(out).all(axis=1))[:, None], out, math.nan)
 
 
 def out_amount(rule: SwapRule, s, i: int, j: int, amount: float) -> float:

@@ -148,7 +148,8 @@ def _gmean(w: np.ndarray, logs: np.ndarray) -> float:
 
 
 def rel_close(a, b, tol: float = REL_TOL) -> bool:
-    """Coordinate-wise |a-b| <= tol * max(|a|,|b|), with exact equality allowed."""
+    """Coordinate-wise |a-b| <= tol * max(|a|,|b|), with exact equality
+    allowed; an infinity is close only to itself."""
     require_nonnegative("tolerance", tol)
     try:
         aa = np.asarray(a, dtype=float)
@@ -160,9 +161,12 @@ def rel_close(a, b, tol: float = REL_TOL) -> bool:
     return bool(_close_rows(aa.ravel(), bb.ravel(), tol))
 
 
+# inf - inf and inf * 0 (NaN, never close) and overflows (inf) need no warning.
+@np.errstate(invalid="ignore", over="ignore")
 def _close_rows(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     """rel_close of each pair of rows of a and b (along their last axis), per row."""
-    return np.all(np.abs(a - b) <= tol * np.maximum(np.abs(a), np.abs(b)), axis=-1)
+    top = np.maximum(np.abs(a), np.abs(b))
+    return np.all((a == b) | ((top < math.inf) & (np.abs(a - b) <= tol * top)), axis=-1)
 
 
 def _width(*tables) -> int:

@@ -11,16 +11,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ammorbit import (AmmError, AxiomReport, ConfigError, DomainError, DriftSeries,
-                      HyperplaneFit, MalformedInputError, OrbitConfig, OrbitSample, RuleSpec,
-                      SwapRule, TrialConfig, UsageError, Witness, as_reserves, as_weights, chain,
+from ammorbit import (AmmError, AxiomReport, ConfigError, DegenerateSampleError, DomainError,
+                      DriftSeries, HyperplaneFit, MalformedInputError, OrbitConfig, OrbitSample,
+                      RuleSpec, SwapRule, Trajectory, TrialConfig, UsageError, Witness,
+                      as_reserves, as_weights, chain,
                       check_all, check_equal_weights, check_slices, constant_sum,
                       decompose_check, drift_to_csv, exp_map, fee_drift, fee_swap,
                       fit_log_hyperplane, fit_log_line, make_rule, orbit_to_csv, out_amount,
                       pareto_geq, parse_rule, product, rel_close, sample_orbit, scale,
                       scaling_factor, shrink, swap, verify_level_sets, weight_from_slope,
                       weighted_gmean, weighted_product, wgm)
-from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance
+from ammorbit.axioms import _violates_token_symmetry, _violates_unit_invariance, _violates_validity
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ammorbit"
 MODULES = sorted(SRC.glob("*.py"))
@@ -54,6 +55,15 @@ BIG = 10**400  # an int beyond float range
 WPROD = RuleSpec("wprod", weights=(0.2, 0.3, 0.5))
 # A 3-token rule that declares two weights.
 SHORT_WEIGHTS = SwapRule("short", 3, make_rule(WPROD).swap_in, weights=np.array([0.5, 0.5]))
+
+
+def _paused(s, i, j, amount):
+    raise DomainError("pool is paused")
+
+
+# A rule whose swap_in raises an AmmError of its own: swap() passes it on
+# unwrapped, where any other exception becomes a NumericError.
+PAUSED = SwapRule("paused", 2, _paused)
 
 
 def _shrink_edited(axiom="validity_invariance", drop=(), **changed):
@@ -165,6 +175,21 @@ MALFORMED = [
      ConfigError),
     ("chain moves None", lambda: chain(wgm(0.5), [1, 1], None), UsageError),
     ("fee_drift moves None", lambda: fee_drift(wgm(0.5), [1, 1], None, 0.0), UsageError),
+    ("swap_in raising DomainError", lambda: swap(PAUSED, [1, 1], 0, 1, 0.5), DomainError),
+    ("make_rule wgm without weight", lambda: make_rule(RuleSpec("wgm")), ConfigError),
+    ("make_rule wprod without weights", lambda: make_rule(RuleSpec("wprod")), ConfigError),
+    ("pareto_geq size mismatch", lambda: pareto_geq([1, 1], [1, 1, 1]), UsageError),
+    ("weighted_gmean size mismatch", lambda: weighted_gmean([1, 1, 1], [0.5, 0.5]), UsageError),
+    ("check_slices size mismatch", lambda: check_slices(make_rule(WPROD), [1, 1], OrbitConfig()),
+     UsageError),
+    ("fit_log_line 3-token sample",
+     lambda: fit_log_line(sample_orbit(make_rule(WPROD), [1, 1, 1], 8)), UsageError),
+    ("Trajectory length mismatch", lambda: Trajectory(np.ones((2, 2)), ()), UsageError),
+    ("DriftSeries length mismatch", lambda: DriftSeries("r", 0.0, np.ones((2, 2)), np.ones(3)),
+     UsageError),
+    ("fit_log_hyperplane too few points",
+     lambda: fit_log_hyperplane(OrbitSample("r", (1, 1, 1), (), ((0, 0, 0), (1, -1, 0)), 0)),
+     DegenerateSampleError),
 ]
 
 
@@ -203,6 +228,9 @@ REFUSED = [
      "error: factor dimension"),
     ("symmetry witness str state", lambda: _symmetry_witness(state=["a", 2.0]),
      "error: reserves must be numeric"),
+    ("validity witness of a raising swap_in",
+     lambda: _violates_validity(PAUSED, {"state": [1.0, 1.0], "token_in": 0, "token_out": 1,
+                                         "amount": 0.5}, 1e-9), "error: pool is paused"),
     *[(f"{fit.__name__} {name} cloud", lambda fit=fit, bad=bad: fit(_cloud(bad)),
        MalformedInputError)
       for fit in (fit_log_line, fit_log_hyperplane)
@@ -219,6 +247,20 @@ def test_malformed_witness_or_cloud_is_refused(call, refusal):
     else:
         with pytest.raises(refusal):
             call()
+
+
+# Values the README promises, which no other in-process test reads.
+RETURNS = [
+    ("rel_close different shapes", lambda: rel_close([1.0, 1.0], [1.0, 1.0, 1.0]), False),
+    ("wgm invariant", lambda: wgm(0.3).invariant([2.0, 3.0]),
+     weighted_gmean([2.0, 3.0], [0.3, 1.0 - 0.3])),
+]
+
+
+@pytest.mark.parametrize("call, value", [case[1:] for case in RETURNS],
+                         ids=[case[0] for case in RETURNS])
+def test_promised_value(call, value):
+    assert call() == value
 
 
 def test_csv_writers_take_hand_built_tuples_of_rows():

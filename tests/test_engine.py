@@ -20,6 +20,7 @@ from ammorbit import (
     TrialConfig,
     check_all,
     check_pareto,
+    check_unit_invariance,
     check_validity_invariance,
     constant_sum,
     parse_rule,
@@ -353,6 +354,32 @@ def test_csum_with_batch_kernel_matches_reference():
     assert [r["passed"] for r in batched] == [False, False, False, True]
 
 
+def test_a_flagged_row_is_judged_once_by_the_replay(monkeypatch):
+    # The batch judge's first flagged row goes straight to the replay that
+    # builds its witness; no scalar verdict runs before it.
+    calls = dict.fromkeys(axioms._PREDICATES, 0)
+    for axiom, predicate in list(axioms._PREDICATES.items()):
+        def counted(rule, inputs, tol, axiom=axiom, predicate=predicate):
+            calls[axiom] += 1
+            return predicate(rule, inputs, tol)
+
+        monkeypatch.setitem(axioms._PREDICATES, axiom, counted)
+    check_all(constant_sum(), TrialConfig(seed=7, trials=100))
+    assert calls == {"validity_invariance": 1, "pareto_efficiency": 1, "unit_invariance": 1,
+                     "token_symmetry": 0}
+
+
+def test_a_side_that_overflows_to_infinity_is_a_unit_violation():
+    # Trial 0 rescales csum's output reserve past the float range: the
+    # sides [8.9e-28, 1.58e-05] and [8.9e-28, -inf] are not close.
+    cfg = TrialConfig(seed=7, trials=1000, state_range=(1e-300, 1e300),
+                      amount_range=(1e-30, 1e30))
+    report = check_unit_invariance(constant_sum(), cfg)
+    assert not report.passed and report.trials == 1
+    assert report.witness.expected[1] == -np.inf
+    assert report == check_unit_invariance(scalar(constant_sum()), cfg)
+
+
 def test_engine_raises_internal_error_when_predicate_disagrees(monkeypatch):
     monkeypatch.setitem(axioms._PREDICATES, "validity_invariance",
                         lambda rule, inputs, tol: (False, None, None))
@@ -432,8 +459,8 @@ def exact_chains(rule: SwapRule, drawn: dict) -> tuple[np.ndarray, np.ndarray]:
     alive = np.ones(len(i), dtype=bool)
     for k in range(i.shape[1]):
         current = states[-1]
-        out, ok = swap_rows(rule, current, i[:, k], j[:, k], x[:, k] * current[rows, i[:, k]])
-        alive &= ok & (out > 0.0).all(axis=1)
+        out = swap_rows(rule, current, i[:, k], j[:, k], x[:, k] * current[rows, i[:, k]])
+        alive &= (out > 0.0).all(axis=1)
         states.append(np.where(alive[:, None], out, current))
     return np.stack(states, axis=1), alive
 

@@ -1,6 +1,7 @@
 """Reserve-vector helpers: validity, log/exp maps, scaling, dominance."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,3 +205,30 @@ class TestRelClose:
     def test_zero_matches_only_zero(self):
         assert rel_close(0.0, 0.0, 1e-12)
         assert not rel_close(0.0, 1e-300, 1e-12)
+
+    @pytest.mark.parametrize("a, b, tol, close", [
+        (1.0, math.inf, 1e-9, False),
+        ([1.0, 2.0], [1.0, math.inf], 1e-9, False),
+        (math.inf, math.inf, 1e-9, True),
+        (-math.inf, math.inf, 1e-9, False),
+        ([1.0, -math.inf], [1.0, -math.inf], 0.0, True),
+        (math.nan, math.nan, 1e-9, False),
+    ], ids=str)
+    def test_an_infinity_is_close_only_to_itself(self, a, b, tol, close):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel_close(a, b, tol) is close
+
+    @pytest.mark.parametrize("a, b, close", [
+        (0.0, 0.0, True),
+        (1.0, 2.0, True),
+        (0.0, 1e-300, True),
+        (1e308, -1e308, True),
+        (1.0, math.inf, False),
+        (math.inf, math.inf, True),
+        (1.0, math.nan, False),
+    ], ids=str)
+    def test_an_infinite_tolerance_makes_every_finite_pair_close(self, a, b, close):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert rel_close(a, b, math.inf) is close
