@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -208,19 +208,6 @@ def _violates_token_symmetry(rule: SwapRule, inputs: dict, tol: float) -> tuple[
     return (not rel_close(mirrored, expected, tol)), mirrored.tolist(), expected.tolist()
 
 
-_PREDICATES: dict[str, Callable[[SwapRule, dict, float], tuple[bool, object, object]]] = {
-    "validity_invariance": _violates_validity,
-    "pareto_efficiency": _violates_pareto,
-    "unit_invariance": _violates_unit_invariance,
-    "token_symmetry": _violates_token_symmetry,
-}
-
-_WITNESS_INPUTS = {"validity_invariance": ("state", "token_in", "token_out", "amount"),
-                   "pareto_efficiency": ("start", "moves"),
-                   "unit_invariance": ("state", "factors", "token_in", "token_out", "amount"),
-                   "token_symmetry": ("state", "amount")}
-
-
 # Trial draws.  Each trial draws from its own Philox stream, keyed
 # seed xor trial, in a fixed order that is part of the report format.
 # A draw function reads a block of trials at once and returns one
@@ -262,23 +249,19 @@ def _trial(drawn: dict, k: int) -> dict:
     return {key: column[k].tolist() for key, column in drawn.items()}
 
 
-# Batch verdicts.  A judge returns the violation mask of a block of drawn
-# trials.  The validity, unit and symmetry judges run the predicates' own
-# tests through swap_rows, which behaves as swap() on each row and gives a
-# NaN row, neither positive nor close, where swap() raises; so a trial's
-# verdict is the predicate's verdict.  A chain is never judged
-# through swap_batch: its judge clears it from its logs (log_chains and
-# _certified), and one it does not clear is walked by _walk, as its witness is.
+# Judges.  A judge returns the mask of a block of drawn trials that its
+# predicate flags, run on rows through swap_rows; a chain's judge flags
+# every chain its certificate does not clear, for _chain_verdict to walk.
 
 def _judge_validity(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
-    out = swap_rows(rule, *(drawn[key] for key in _WITNESS_INPUTS["validity_invariance"]))
+    out = swap_rows(rule, *(drawn[key] for key in _AXIOMS["validity_invariance"].keys))
     return ~np.all(out > 0.0, axis=-1)
 
 
 @np.errstate(over="ignore")
 def _judge_unit(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     sides = _unit_sides(partial(swap_rows, rule),
-                        *(drawn[key] for key in _WITNESS_INPUTS["unit_invariance"]))
+                        *(drawn[key] for key in _AXIOMS["unit_invariance"].keys))
     return ~_close_rows(*sides, cfg.tolerance)
 
 
@@ -291,6 +274,8 @@ def _judge_symmetry(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray
 
 def _judge_chains(rule: SwapRule, cfg: TrialConfig, drawn: dict) -> np.ndarray:
     batch = _screen_of(rule)
+    if batch is None:
+        return np.ones(len(drawn["start"]), dtype=bool)
     return ~_certified(*batch.log_chains(drawn["start"], drawn["token_in"],
                                          drawn["token_out"], drawn["fractions"]), batch.w)
 
@@ -326,47 +311,50 @@ def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 512
 
-_ENGINE = {
-    "validity_invariance": (_draw_validity, _judge_validity),
-    "pareto_efficiency": (_draw_chain, _judge_chains),
-    "unit_invariance": (_draw_unit, _judge_unit),
-    "token_symmetry": (_draw_symmetry, _judge_symmetry),
+
+class _Axiom(NamedTuple):
+    """One axiom's block draw and judge, the predicate that replays a witness,
+    and the witness input names in order."""
+
+    draw: Callable[[Draws, np.ndarray, TrialConfig, int], dict]
+    judge: Callable[[SwapRule, TrialConfig, dict], np.ndarray]
+    predicate: Callable[[SwapRule, dict, float], tuple[bool, object, object]]
+    keys: tuple[str, ...]
+
+
+_AXIOMS = {
+    "validity_invariance": _Axiom(_draw_validity, _judge_validity, _violates_validity,
+                                  ("state", "token_in", "token_out", "amount")),
+    "pareto_efficiency": _Axiom(_draw_chain, _judge_chains, _violates_pareto, ("start", "moves")),
+    "unit_invariance": _Axiom(_draw_unit, _judge_unit, _violates_unit_invariance,
+                              ("state", "factors", "token_in", "token_out", "amount")),
+    "token_symmetry": _Axiom(_draw_symmetry, _judge_symmetry, _violates_token_symmetry,
+                             ("state", "amount")),
 }
 
 
-def _scalar_verdict(rule: SwapRule, cfg: TrialConfig, axiom: str, trial: dict) -> tuple[dict, bool]:
-    """Witness inputs of one drawn trial and whether it violates the axiom.
-
-    A chain's witness moves run up to and including a failing step, with
-    amounts pinned to the states reached; a start outside the domain has none."""
-    if axiom == "pareto_efficiency":
-        steps = (trial["token_in"], trial["token_out"], trial["fractions"])
-        try:
-            walk = _walk(rule, trial["start"], steps, relative=True)
-        except AmmError:
-            return {"start": trial["start"], "moves": []}, True
-        inputs = {"start": trial["start"], "moves": [list(move) for move in walk.moves]}
-        return inputs, _pareto_verdict(walk)[0]
-    return trial, _PREDICATES[axiom](rule, trial, cfg.tolerance)[0]
+def _chain_verdict(rule: SwapRule, trial: dict) -> tuple[dict, bool]:
+    """Witness inputs of one drawn chain, moves pinned up to and including a
+    failing step (none from a start outside the domain), and whether it
+    violates Pareto efficiency."""
+    steps = (trial["token_in"], trial["token_out"], trial["fractions"])
+    try:
+        walk = _walk(rule, trial["start"], steps, relative=True)
+    except AmmError:
+        return {"start": trial["start"], "moves": []}, True
+    inputs = {"start": trial["start"], "moves": [list(move) for move in walk.moves]}
+    return inputs, _pareto_verdict(walk)[0]
 
 
 def _first_violation(rule: SwapRule, cfg: TrialConfig, axiom: str,
                      drawn: dict) -> tuple[int, dict] | None:
     """Lowest row of a block of drawn trials that violates the axiom, with
-    its witness inputs, or None.
-
-    A batching rule's first flagged validity, unit or symmetry row is
-    returned as drawn: the replay in _run_trials alone judges it, and so
-    catches a swap_batch that disagrees with swap().  Otherwise the scalar
-    verdict runs in index order on every row no chain certificate clears."""
-    chains = axiom == "pareto_efficiency"
-    rows = np.arange(len(next(iter(drawn.values()))))
-    if (_screen_of(rule) if chains else rule.swap_batch) is not None:
-        rows = rows[_ENGINE[axiom][1](rule, cfg, drawn)]
-        if not chains:
-            return (int(rows[0]), _trial(drawn, rows[0])) if rows.size else None
+    its witness inputs, or None."""
+    rows = np.flatnonzero(_AXIOMS[axiom].judge(rule, cfg, drawn))
+    if axiom != "pareto_efficiency":
+        return (int(rows[0]), _trial(drawn, rows[0])) if rows.size else None
     for k in rows.tolist():
-        inputs, violated = _scalar_verdict(rule, cfg, axiom, _trial(drawn, k))
+        inputs, violated = _chain_verdict(rule, _trial(drawn, k))
         if violated:
             return k, inputs
     return None
@@ -379,19 +367,19 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
     Each block runs _first_violation, whose witness inputs the predicate
     that shrink() replays must confirm.
     """
-    n = rule.dimension
+    n, entry = rule.dimension, _AXIOMS[axiom]
     # Each block computes up front the Philox words per trial that the
     # block before it read, so its draws take one kernel pass.
     first, size, words = 0, _FIRST_BLOCK, 0
     while first < cfg.trials:
         trials = np.arange(first, min(first + size, cfg.trials))
         draws = trial_draws(cfg.seed, trials, words)
-        drawn = _ENGINE[axiom][0](draws, trials, cfg, n)
+        drawn = entry.draw(draws, trials, cfg, n)
         words = draws.words_read
         hit = _first_violation(rule, cfg, axiom, drawn)
         if hit is not None:
             trial, inputs = first + hit[0], hit[1]
-            violated, observed, expected = _PREDICATES[axiom](rule, inputs, cfg.tolerance)
+            violated, observed, expected = entry.predicate(rule, inputs, cfg.tolerance)
             if not violated:
                 raise InternalError(f"{axiom} trial {trial} of rule {rule.name!r} was flagged "
                                     "but its witness does not replay")
@@ -501,14 +489,13 @@ def shrink(report: AxiomReport, rule: SwapRule) -> AxiomReport:
     """Minimize a failing witness; the violation is preserved at every step."""
     if report.passed or report.witness is None:
         raise UsageError("only failed reports can be shrunk")
-    if report.axiom not in _PREDICATES:
+    if report.axiom not in _AXIOMS:
         raise UsageError(f"no axiom is named {report.axiom!r}")
-    predicate = _PREDICATES[report.axiom]
+    predicate, keys = _AXIOMS[report.axiom].predicate, _AXIOMS[report.axiom].keys
     tol = report.tolerance
     inputs = dict(report.witness.inputs)
     # Witness slots (key, index) in visiting order: coordinates and factors,
     # then the scalar amount (index None) and each move's amount.
-    keys = _WITNESS_INPUTS[report.axiom]
     try:
         slots = [(key, index) for key in ("state", "start", "factors", "amount", "moves")
                  if key in keys

@@ -32,20 +32,10 @@ Move = tuple[int, int, float]
 
 @dataclass(frozen=True)
 class SwapRule:
-    """A named swap rule over a fixed number of tokens.
-
-    weights is set for the built-in weighted-product family and None for
-    rules with no known invariant; the conformance harness never looks
-    at it.
-
-    swap_batch is an optional vectorised swap_in: given states (B, n),
-    token indices i and j (B,) and amounts (B,), it returns the (B, n)
-    post-trade states, each row equal bit for bit to swap_in on that row,
-    with a non-finite row where swap_in would raise; it is passed only
-    rows that swap() accepts, and never calls domain.  It is set to None
-    when domain is not is_valid, or when it is the batch of a built-in
-    rule whose swap_in is not this rule's.
-    """
+    """A named n-token rule: swap_in trades, weights (if set) define its
+    invariant, and swap_batch (if set) is swap_in on each row of a block bit
+    for bit, non-finite where swap_in raises, kept only when domain is
+    is_valid and it is not another rule's built-in batch."""
 
     name: str
     dimension: int
@@ -156,6 +146,7 @@ class _Pair:
                                                  amount, _libm(math.log), _libm(_exp_or_inf))
         return out
 
+    @np.errstate(over="ignore")
     def log_chains(self, start, i, j, fractions) -> tuple[np.ndarray, np.ndarray]:
         """(logs, delta): the (B, L + 1, n) logs of the chains from start that
         trade fractions (B, L) of reserve i into j, and a (B,) bound delta,
@@ -453,8 +444,16 @@ def _describe_exit(walk: _Walk) -> str:
 
 def swap_rows(rule: SwapRule, s: np.ndarray, i: np.ndarray, j: np.ndarray,
               amount: np.ndarray) -> np.ndarray:
-    """swap() on every row through rule.swap_batch, with a NaN row where swap()
-    would raise, computed on a stand-in.  For rules with the default domain."""
+    """swap() on every row, with a NaN row where swap() raises an AmmError."""
+    if rule.swap_batch is None:
+        out = np.full(s.shape, math.nan)
+        for k, row in enumerate(zip(s.tolist(), i.tolist(), j.tolist(), amount.tolist())):
+            try:
+                out[k] = swap(rule, *row)
+            except AmmError:
+                pass
+        return out
+    # swap_batch sees only rows that swap() accepts: the others run on a stand-in.
     ok = ((s > 0.0) & (s < math.inf)).all(axis=1) & (amount >= 0.0) & (amount < math.inf)
     s, amount = np.where(ok[:, None], s, 1.0), np.where(ok, amount, 0.0)
     out = np.where((amount == 0.0)[:, None], s, rule.swap_batch(s, i, j, amount))

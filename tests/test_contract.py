@@ -187,6 +187,10 @@ MALFORMED = [
     ("Trajectory length mismatch", lambda: Trajectory(np.ones((2, 2)), ()), UsageError),
     ("DriftSeries length mismatch", lambda: DriftSeries("r", 0.0, np.ones((2, 2)), np.ones(3)),
      UsageError),
+    ("SwapRule.invariant without weights",
+     lambda: SwapRule("x", 2, product().swap_in).invariant([1, 1]), UsageError),
+    ("fit_log_hyperplane (m, 1) cloud",
+     lambda: fit_log_hyperplane(OrbitSample("r", (1,), (), ((0,), (1,)), 0)), UsageError),
     ("fit_log_hyperplane too few points",
      lambda: fit_log_hyperplane(OrbitSample("r", (1, 1, 1), (), ((0, 0, 0), (1, -1, 0)), 0)),
      DegenerateSampleError),

@@ -23,7 +23,9 @@ from ammorbit.rand import log_uniform, trial_rng
 def reference_dominance(chains: np.ndarray) -> np.ndarray:
     a = chains[:, :, None, :]
     b = chains[:, None, :, :]
-    diff = a - b
+    # A difference that overflows is an infinity, above any slack.
+    with np.errstate(over="ignore"):
+        diff = a - b
     slack = np.maximum(np.abs(a), np.abs(b))
     slack *= PARETO_MARGIN
     dominates = (diff > slack).any(axis=3)

@@ -1,8 +1,10 @@
 """The batched trial engine against its scalar reference.
 
-A rule with swap_batch is checked a block of trials at a time; the same
-rule with swap_batch=None runs one trial at a time through the
-predicates.  Both must give identical reports, down to the witness.
+Every rule is judged a block of trials at a time.  A rule with swap_batch
+has its rows computed by it, and its weighted chains cleared by the
+certificate; the same rule with swap_batch=None has each row computed by
+swap() and every chain walked.  Both must give identical reports, down to
+the witness.
 """
 
 import dataclasses
@@ -27,6 +29,7 @@ from ammorbit import (
     product,
     report_to_dict,
     shrink,
+    swap,
     weighted_product,
     wgm,
 )
@@ -114,6 +117,52 @@ def test_swap_batch_matches_swap_in_bit_for_bit(rule):
         assert np.any(batch < 0.0)
 
 
+@pytest.mark.parametrize("text", ["wgm:0.3", "csum", "wprod:0.2,0.3,0.5"])
+def test_swap_rows_without_a_batch_matches_the_batch_bit_for_bit(text):
+    # Rows swap() refuses (an infinite reserve) and zero amounts among them.
+    rule = parse_rule(text)
+    s, i, j, amount = extreme_inputs(trial_rng(2033, rule.dimension), rule.dimension, 3000)
+    s[::97, 0] = np.inf
+    amount[::89] = 0.0
+    out = swap_rows(rule, s, i, j, amount)
+    assert out.tobytes() == swap_rows(scalar(rule), s, i, j, amount).tobytes()
+    refused = np.isnan(out).all(axis=1)
+    assert refused[::97].all() and not refused.all()
+    kept = ~refused & (amount == 0.0)
+    assert kept.any() and (out[kept] == s[kept]).all()
+
+
+def test_swap_rows_without_a_batch_gives_a_nan_row_only_where_swap_raises():
+    def capped_trade(s, i, j, amount):
+        if amount > 0.5:
+            raise ValueError("trade too large")
+        return product().swap_in(s, i, j, amount)
+
+    rule = SwapRule("capped-trade", 2, capped_trade)
+    rng = trial_rng(2034, 2)
+    s = log_uniform(rng, 0.5, 2.0, (200, 2))
+    i = rng.integers(0, 2, 200)
+    amount = log_uniform(rng, 1e-3, 1.0, 200)
+    out = swap_rows(rule, s, i, 1 - i, amount)
+    raised = amount > 0.5
+    assert raised.any() and not raised.all()
+    assert np.isnan(out[raised]).all()
+    for k in np.flatnonzero(~raised).tolist():
+        want = swap(rule, s[k], int(i[k]), int(1 - i[k]), float(amount[k]))
+        assert out[k].tobytes() == want.tobytes(), k
+
+
+def test_swap_rows_gives_a_nan_row_for_a_start_outside_a_capped_domain():
+    capped = dataclasses.replace(wgm(0.3),
+                                 domain=lambda s: bool(np.all(s > 0.0) and s[0] < 2.0))
+    s = np.array([[1.0, 1.0], [3.0, 1.0], [1.5, 4.0]])
+    i, j, amount = np.array([0, 0, 1]), np.array([1, 1, 0]), np.full(3, 0.5)
+    out = swap_rows(capped, s, i, j, amount)
+    assert np.isnan(out[1]).all()
+    for k in (0, 2):
+        assert out[k].tolist() == swap(capped, s[k], int(i[k]), int(j[k]), 0.5).tolist()
+
+
 @pytest.mark.parametrize("w", [0.3, 0.9])
 def test_overflowing_swap_is_a_violation_on_both_paths(w):
     big = float(np.finfo(float).max)
@@ -162,41 +211,40 @@ def test_screen_perturbed_by_its_bound_changes_no_report(monkeypatch, case):
 def counted_exact_rows(monkeypatch) -> dict:
     """Rows each axiom's exact stage sees, counted as the run goes: the
     validity, unit and symmetry rows sent to swap_batch, and the chains
-    that reach the scalar verdict."""
-    exact_rows = dict.fromkeys(axioms._ENGINE, 0)
-    for axiom, (draw, judge) in list(axioms._ENGINE.items()):
-        def counted(rule, cfg, drawn, axiom=axiom, judge=judge):
+    that reach the chain walk."""
+    exact_rows = dict.fromkeys(axioms._AXIOMS, 0)
+    for axiom, row in list(axioms._AXIOMS.items()):
+        def counted(rule, cfg, drawn, axiom=axiom, judge=row.judge):
             if axiom != "pareto_efficiency":
                 exact_rows[axiom] += len(next(iter(drawn.values())))
             return judge(rule, cfg, drawn)
 
-        monkeypatch.setitem(axioms._ENGINE, axiom, (draw, counted))
-    verdict = axioms._scalar_verdict
+        monkeypatch.setitem(axioms._AXIOMS, axiom, row._replace(judge=counted))
+    verdict = axioms._chain_verdict
 
-    def counted_verdict(rule, cfg, axiom, trial):
-        if axiom == "pareto_efficiency":
-            exact_rows[axiom] += 1
-        return verdict(rule, cfg, axiom, trial)
+    def counted_verdict(rule, trial):
+        exact_rows["pareto_efficiency"] += 1
+        return verdict(rule, trial)
 
-    monkeypatch.setattr(axioms, "_scalar_verdict", counted_verdict)
+    monkeypatch.setattr(axioms, "_chain_verdict", counted_verdict)
     return exact_rows
 
 
 @pytest.mark.parametrize("text", ["wgm:0.3", "product", "wprod:0.2,0.3,0.5"])
 def test_every_single_swap_row_reaches_swap_batch_and_no_chain_does(monkeypatch, text):
     # Rows drawn per axiom, counted before counted_exact_rows wraps the judges.
-    drawn_rows = dict.fromkeys(axioms._ENGINE, 0)
-    for axiom, (draw, judge) in list(axioms._ENGINE.items()):
-        def counted_draw(draws, trials, cfg, n, axiom=axiom, draw=draw):
+    drawn_rows = dict.fromkeys(axioms._AXIOMS, 0)
+    for axiom, row in list(axioms._AXIOMS.items()):
+        def counted_draw(draws, trials, cfg, n, axiom=axiom, draw=row.draw):
             drawn_rows[axiom] += len(trials)
             return draw(draws, trials, cfg, n)
 
-        monkeypatch.setitem(axioms._ENGINE, axiom, (counted_draw, judge))
+        monkeypatch.setitem(axioms._AXIOMS, axiom, row._replace(draw=counted_draw))
     exact_rows = counted_exact_rows(monkeypatch)
     rule = parse_rule(text)
     cfg = TrialConfig(seed=7, trials=2000)
     batched = reports(rule, cfg)
-    single_swap = [a for a in axioms._ENGINE if a != "pareto_efficiency"]
+    single_swap = [a for a in axioms._AXIOMS if a != "pareto_efficiency"]
     assert all(exact_rows[a] == drawn_rows[a] for a in single_swap)
     assert all(drawn_rows[r["axiom"]] >= r["trials"] for r in batched)
     assert exact_rows["pareto_efficiency"] == 0 and drawn_rows["pareto_efficiency"] == 2000
@@ -354,17 +402,19 @@ def test_csum_with_batch_kernel_matches_reference():
     assert [r["passed"] for r in batched] == [False, False, False, True]
 
 
-def test_a_flagged_row_is_judged_once_by_the_replay(monkeypatch):
-    # The batch judge's first flagged row goes straight to the replay that
-    # builds its witness; no scalar verdict runs before it.
-    calls = dict.fromkeys(axioms._PREDICATES, 0)
-    for axiom, predicate in list(axioms._PREDICATES.items()):
-        def counted(rule, inputs, tol, axiom=axiom, predicate=predicate):
+@pytest.mark.parametrize("rule", [constant_sum(), scalar(constant_sum())],
+                         ids=["batch", "per-row"])
+def test_a_flagged_row_is_judged_once_by_the_replay(monkeypatch, rule):
+    # The judge's first flagged row goes straight to the replay that builds
+    # its witness, with or without swap_batch; no predicate runs before it.
+    calls = dict.fromkeys(axioms._AXIOMS, 0)
+    for axiom, row in list(axioms._AXIOMS.items()):
+        def counted(rule, inputs, tol, axiom=axiom, predicate=row.predicate):
             calls[axiom] += 1
             return predicate(rule, inputs, tol)
 
-        monkeypatch.setitem(axioms._PREDICATES, axiom, counted)
-    check_all(constant_sum(), TrialConfig(seed=7, trials=100))
+        monkeypatch.setitem(axioms._AXIOMS, axiom, row._replace(predicate=counted))
+    check_all(rule, TrialConfig(seed=7, trials=100))
     assert calls == {"validity_invariance": 1, "pareto_efficiency": 1, "unit_invariance": 1,
                      "token_symmetry": 0}
 
@@ -381,8 +431,9 @@ def test_a_side_that_overflows_to_infinity_is_a_unit_violation():
 
 
 def test_engine_raises_internal_error_when_predicate_disagrees(monkeypatch):
-    monkeypatch.setitem(axioms._PREDICATES, "validity_invariance",
-                        lambda rule, inputs, tol: (False, None, None))
+    row = axioms._AXIOMS["validity_invariance"]
+    monkeypatch.setitem(axioms._AXIOMS, "validity_invariance",
+                        row._replace(predicate=lambda rule, inputs, tol: (False, None, None)))
     with pytest.raises(InternalError):
         check_validity_invariance(constant_sum(), TrialConfig(seed=7, trials=100))
 
@@ -395,7 +446,9 @@ def test_shrink_raises_internal_error_when_violation_is_lost(monkeypatch):
         calls.append(inputs)
         return len(calls) == 1, None, None
 
-    monkeypatch.setitem(axioms._PREDICATES, "validity_invariance", replays_once)
+    row = axioms._AXIOMS["validity_invariance"]
+    monkeypatch.setitem(axioms._AXIOMS, "validity_invariance",
+                        row._replace(predicate=replays_once))
     with pytest.raises(InternalError):
         shrink(report, constant_sum())
 
@@ -473,10 +526,8 @@ def certified(rule: SwapRule, drawn: dict) -> np.ndarray:
 
 
 def flagged(rule: SwapRule, drawn: dict) -> np.ndarray:
-    """The scalar verdict of each drawn chain."""
-    cfg = TrialConfig(chain_length=drawn["fractions"].shape[1])
-    return np.array([axioms._scalar_verdict(rule, cfg, "pareto_efficiency",
-                                            axioms._trial(drawn, k))[1]
+    """The walked verdict of each drawn chain."""
+    return np.array([axioms._chain_verdict(rule, axioms._trial(drawn, k))[1]
                      for k in range(len(drawn["start"]))], dtype=bool)
 
 
@@ -537,6 +588,17 @@ def test_log_chains_are_within_an_eighth_of_delta_of_the_exact_logs(weights, sta
         worst = max(worst, distance / delta[b])
     assert 0.0 < worst <= 1.0 / 8.0
     assert vouched.size
+
+
+def test_log_chains_at_a_vanishing_weight_warn_nothing():
+    # 3 top / w_j overflows at w_j = 1e-300: such a chain's delta is inf and
+    # it is walked, and pyproject makes a library RuntimeWarning an error.
+    rule = parse_rule("wprod:1e-300,0.5,0.5")
+    cfg = TrialConfig(seed=2, trials=1000)
+    report = check_pareto(rule, cfg)
+    assert not report.passed and report.trials == 1
+    assert report.witness.observed.startswith("chain left the domain at step 4")
+    assert report == check_pareto(scalar(rule), cfg)
 
 
 CERTIFIED = [wgm(0.3), product(), wgm(1e-6), weighted_product([0.2, 0.3, 0.5]),

@@ -54,7 +54,9 @@ def pair(rng, n):
 
 
 def amount(rng, cfg, reserve):
-    return float(log_uniform(rng, *cfg.amount_range) * reserve)
+    # Wide ranges overflow the amount to inf, as they do in the engine's draw.
+    with np.errstate(over="ignore"):
+        return float(log_uniform(rng, *cfg.amount_range) * reserve)
 
 
 def reference(axiom, rng, trial, cfg, n):
@@ -88,7 +90,7 @@ CONFIGS = [
 
 
 PLANS = [(axiom, n, length)
-         for axiom in sorted(axioms._ENGINE)
+         for axiom in sorted(axioms._AXIOMS)
          for n in ((2,) if axiom == "token_symmetry" else (2, 3, 5))
          # Only the chain draws depend on the chain length.
          for length in ((1, 3, 32, 33) if axiom == "pareto_efficiency" else (32,))]
@@ -99,7 +101,7 @@ PLANS = [(axiom, n, length)
 def test_draw_plans_match_generator(axiom, n, length, ranges):
     cfg = TrialConfig(seed=2**63 + 5, chain_length=length, **ranges)
     trials = np.arange(40, 60)
-    drawn = axioms._ENGINE[axiom][0](trial_draws(cfg.seed, trials), trials, cfg, n)
+    drawn = axioms._AXIOMS[axiom].draw(trial_draws(cfg.seed, trials), trials, cfg, n)
     for k, trial in enumerate(trials.tolist()):
         want = reference(axiom, trial_rng(cfg.seed, trial), trial, cfg, n)
         assert axioms._trial(drawn, k) == want

@@ -3,12 +3,13 @@ axiom fails exactly that check, and its orbits are not weighted
 geometric-mean level sets.
 
 Each rule here is a test-only black box, built as SwapRule(swap_in=...),
-so the checks judge it one trial at a time through swap().
+so the checks judge its rows through swap() and walk every chain.
 """
 
 import pytest
 
-from ammorbit import OrbitConfig, SwapRule, TrialConfig, as_reserves, check_all, verify_level_sets
+from ammorbit import (OrbitConfig, SwapRule, TrialConfig, as_reserves, check_all, check_slices,
+                      verify_level_sets, weighted_product)
 
 AXIOMS = ("validity_invariance", "pareto_efficiency", "unit_invariance", "token_symmetry")
 # The README's three starts.
@@ -55,3 +56,34 @@ def test_a_rule_breaking_one_axiom_fails_that_check_alone(swap_in, broken, prefi
     report = verify_level_sets(rule, STARTS, OrbitConfig(seed=7, samples=64))
     assert not report.verdict
     assert report.failure.startswith(prefix) and report.failure.endswith(suffix), report.failure
+
+
+WPROD = weighted_product([0.2, 0.3, 0.5])
+
+
+def drifting(s, i, j, amount):
+    """wprod:0.2,0.3,0.5's trade with the third reserve then scaled by
+    1 + 1e-9: no slice keeps both its line and the other reserves fixed."""
+    out = WPROD.swap_in(s, i, j, amount)
+    out[2] *= 1.0 + 1e-9
+    return out
+
+
+def sum3(s, i, j, amount):
+    """Holds s_1 + s_2 + s_3 fixed: a slice walks out of the positive orthant."""
+    out = s.copy()
+    out[i] = s[i] + amount
+    out[j] = s[j] - amount
+    return out
+
+
+@pytest.mark.parametrize("swap_in, prefix, suffix", [
+    (drifting, "pair (0, 1): slope -0.666", ", others_fixed False"),
+    (sum3, "pair (0, 1): orbit sampling hit the domain boundary of 'sum3' at step ", ""),
+], ids=["drifting", "sum3"])
+def test_a_three_token_rule_off_its_level_sets_fails_every_slice(swap_in, prefix, suffix):
+    report = check_slices(SwapRule(swap_in.__name__, 3, swap_in), [1, 2, 3], OrbitConfig())
+    assert not report.verdict
+    assert report.failure.startswith(prefix) and report.failure.endswith(suffix), report.failure
+    assert [(s.token_a, s.token_b, s.ok) for s in report.slices] == [
+        (0, 1, False), (0, 2, False), (1, 2, False)]

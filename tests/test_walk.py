@@ -66,7 +66,9 @@ def reference_walk(rule, s0, moves, relative=False, fee=0.0):
         moves = zip(*moves)
     states, pinned = [current], []
     for i, j, x in moves:
-        amount = float(x * current[i]) if relative else x
+        # A drawn fraction of a huge reserve may overflow to inf, which the step refuses.
+        with np.errstate(over="ignore"):
+            amount = float(x * current[i]) if relative else x
         pinned.append((i, j, amount))
         try:
             current = reference_step(rule, current, i, j, amount, fee)
