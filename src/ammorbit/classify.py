@@ -393,6 +393,8 @@ def check_slices(rule: SwapRule, p, cfg: OrbitConfig) -> SliceReport:
                 others = [k for k in range(n) if k not in (i, j)]
                 others_fixed = bool(np.all(sample.states[:, others] == point[others]))
                 fit = fit_log_line(replace(sample, log_points=np.log(sample.states[:, (i, j)])))
+            except ConfigError:
+                raise  # a run that cannot be configured, not a slice that fails
             except AmmError as exc:
                 failure = failure or f"pair ({i}, {j}): {exc}"
             else:

@@ -97,19 +97,15 @@ class Draws:
     """What a numpy Generator on each of a block of Philox keys draws.
 
     Row k reads the stream of ``Generator(Philox(key=keys[k]))``: a double
-    takes one 64-bit word; a bounded integer takes 32-bit halves, the low
-    half of a fresh word first, with the high half cached for the next
-    bounded integer (doubles leave the cache alone).  Rows consume their
-    streams independently, so every method works on all rows at once.
+    takes one 64-bit word, and one run of bounded integers takes 32-bit
+    halves of the words that follow.  Rows consume their streams
+    independently, so every method works on all rows at once.
     """
 
     def __init__(self, keys: np.ndarray, words: int = 0):
         self.keys = np.asarray(keys, dtype=np.uint64)
-        rows = self.keys.size
         self.words = philox_words(self.keys, -(-words // 4))
-        self.pos = np.zeros(rows, dtype=np.int64)   # next unread word
-        self.cached = np.zeros(rows, dtype=bool)    # a high half is waiting
-        self.cache = np.zeros(rows, dtype=np.uint64)
+        self.pos = np.zeros(self.keys.size, dtype=np.int64)   # next unread word
 
     def _ensure(self, width: int) -> None:
         # The buffer at least doubles, so a run of small reads costs few
@@ -149,9 +145,11 @@ class Draws:
         """(rows, len(highs)) int64: ``rng.integers(0, highs)`` on each row's stream.
 
         Each bound is at most 2**32 and taken by Lemire's rejection
-        method, as numpy does; a one-value range reads nothing.  Every
-        row is first read as if no draw were rejected, and the rare rows
-        that hit a rejection are replayed one draw at a time.
+        method, as numpy does; a one-value range reads nothing.  A run
+        reads 32-bit halves from the row's next word on, low half first,
+        and leaves ``pos`` past the last word it read; numpy would keep
+        that word's unread high half for a second run, which no draw plan
+        reads, so a ``Draws`` takes at most one run.
         """
         highs = np.asarray(highs, dtype=np.uint64)
         out = np.zeros((self.pos.size, highs.size), dtype=np.int64)
@@ -160,45 +158,20 @@ class Draws:
             return out
         bounds = highs[live]
         thresholds = np.uint64(2**32) % bounds
-        # Each row's 32-bit stream: its cached half, then low and high
-        # halves of the next words; rows without a cached half start at 1.
-        words = self._read((live.size + 1) // 2)
-        halves = np.empty((self.pos.size, 1 + 2 * words.shape[1]), dtype=np.uint64)
-        halves[:, 0] = self.cache
-        halves[:, 1::2] = words & _MASK32
-        halves[:, 2::2] = words >> np.uint64(32)
-        start = np.where(self.cached, 0, 1)
-        scaled = np.take_along_axis(halves, start[:, None] + np.arange(live.size), axis=1) * bounds
-        out[:, live] = scaled >> np.uint64(32)
-        rejected = np.flatnonzero(((scaled & _MASK32) < thresholds).any(axis=1)).tolist()
-        replays = [(row, self.pos[row], self.cached[row], self.cache[row]) for row in rejected]
-        last = start + live.size - 1
-        self.pos += (last + 1) // 2
-        self.cached = last % 2 == 1
-        tail = np.minimum(last + 1, halves.shape[1] - 1)
-        self.cache = np.where(self.cached, halves[np.arange(self.pos.size), tail], 0)
-        for row, *state in replays:
-            self.pos[row], self.cached[row], self.cache[row] = state
-            out[row, live] = [self._lemire(row, int(b)) for b in bounds.tolist()]
-        return out
-
-    def _next32(self, row: int) -> int:
-        if self.cached[row]:
-            self.cached[row] = False
-            return int(self.cache[row])
-        self._ensure(int(self.pos[row]) + 1)
-        word = int(self.words[row, self.pos[row]])
-        self.pos[row] += 1
-        self.cached[row], self.cache[row] = True, word >> 32
-        return word & 0xFFFFFFFF
-
-    def _lemire(self, row: int, bound: int) -> int:
-        """One bounded draw below bound from one row, rejections included."""
-        threshold = 2**32 % bound
+        # The half each draw reads: a pass that finds a row's first
+        # rejection moves that draw and the row's later draws on by one.
+        at = np.tile(np.arange(live.size), (self.pos.size, 1))
         while True:
-            scaled = self._next32(row) * bound
-            if scaled & 0xFFFFFFFF >= threshold:
-                return scaled >> 32
+            words = self._read(int(at[:, -1].max()) // 2 + 1)
+            halves = np.stack([words & _MASK32, words >> np.uint64(32)], axis=2)
+            scaled = np.take_along_axis(halves.reshape(len(words), -1), at, axis=1) * bounds
+            rejected = (scaled & _MASK32) < thresholds
+            if not rejected.any():
+                break
+            at += np.logical_or.accumulate(rejected, axis=1)
+        out[:, live] = scaled >> np.uint64(32)
+        self.pos += at[:, -1] // 2 + 1
+        return out
 
     def pairs(self, n: int, count: int) -> np.ndarray:
         """(2, rows, count): count uniformly drawn ordered pairs of distinct

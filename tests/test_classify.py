@@ -27,6 +27,7 @@ from ammorbit import (
     check_equal_weights,
     check_slices,
     classification_to_dict,
+    classify,
     constant_sum,
     fit_log_hyperplane,
     fit_log_line,
@@ -406,6 +407,18 @@ class TestSlices:
     def test_rejects_two_token_rule(self):
         with pytest.raises(UsageError):
             check_slices(wgm(0.5), as_reserves([1.0, 1.0]), OrbitConfig())
+
+    def test_config_error_is_raised_not_reported(self, monkeypatch):
+        # A run that cannot be configured raises, as in verify_level_sets,
+        # instead of reading as a failed slice.
+        def refuse(seed, trials, words=0):
+            raise ConfigError("cannot hold the draws")
+
+        monkeypatch.setattr(classify, "trial_draws", refuse)
+        with pytest.raises(ConfigError, match="^cannot hold the draws$"):
+            check_slices(weighted_product([0.2, 0.3, 0.5]), [1, 2, 3], OrbitConfig())
+        with pytest.raises(ConfigError, match="^cannot hold the draws$"):
+            verify_level_sets(wgm(0.5), [[1.0, 1.0], [2.0, 2.0]], OrbitConfig())
 
 
 class TestEqualWeights:

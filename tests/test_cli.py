@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, payload schemas, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ammorbit import AmmError, cli
+from ammorbit import AmmError, cli, parse_rule
 
 
 def run(args, tmp_path, name="out"):
@@ -450,3 +455,109 @@ def test_payloads_are_strict_json():
     # not JSON; the serializer refuses it instead.
     with pytest.raises(AmmError):
         cli._json_payload({"value": float("nan")})
+
+
+# The CLI contract over arbitrary flags: argvs drawn from a small grammar of
+# every subcommand, with rule specs, seeds, counts, reals and starts that
+# include degenerate and malformed ones.  Counts stay at most 50 trials and
+# 200 samples or trades, so each example is cheap.
+
+# Each flag's values: ones a run may accept, then degenerate or malformed ones.
+VALUES = {
+    "--rule": (["wgm:0.3", "wgm:0.5", "wgm:0.999999", "product", "csum", "wprod:0.2,0.3,0.5",
+                "wprod:1e-300,0.5,0.5", "wprod:0.1,0.2,0.3,0.4"],
+               ["wgm:1e-300", "wgm:5e-324", "wgm:nan", "wgm:", "wgm:1.5", "wprod:0.5",
+                "wprod:a,b", "bogus"]),
+    "--seed": (["0", "7", "2", str(2**63 + 5), str(2**64 - 1)], ["-1", str(2**64), "nan"]),
+    "--tolerance": (["1e-13", "1e-9", "0.5"], ["0", "1", "inf", "nan", "-1", "x"]),
+    "--phi": (["0", "0.003", "0.5"], ["1", "inf", "nan", "-1", "x"]),
+    "--start": (["1,1", "1,2,3", "1,1,1,1", "1e300,1e-300"], ["0,1", "nan,1", "inf,1", "1", "a,b"]),
+}
+# Each count's accepted range; any count may also be -1 or malformed.
+COUNTS = {"--trials": (1, 50), "--chain-length": (1, 8), "--orbits": (2, 5),
+          "--samples": (8, 200), "--trades": (0, 200)}
+FLAGS = {
+    "check-axioms": ["--trials", "--chain-length", "--tolerance"],
+    "classify": ["--orbits", "--samples", "--tolerance"],
+    "simulate-fees": ["--phi", "--trades", "--start"],
+    "orbit-export": ["--samples", "--start"],
+}
+JSON_ONLY = ("check-axioms", "classify")
+
+
+def flag_values(flag: str, clean: bool):
+    if flag in COUNTS:
+        lo, hi = COUNTS[flag]
+        counts = st.integers(lo if clean else -1, hi).map(str)
+        return counts if clean else counts | st.just("x")
+    good, bad = VALUES[flag]
+    return st.sampled_from(good if clean else good + bad)
+
+
+@st.composite
+def argvs(draw) -> list[str]:
+    # About half the argvs draw from the accepted values only, so that
+    # many runs get past validation.
+    clean = draw(st.booleans())
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command, "--rule", draw(flag_values("--rule", clean))]
+    if draw(st.booleans()):
+        argv += ["--seed", draw(flag_values("--seed", clean))]
+    if draw(st.booleans()):
+        formats = ["json"] if clean and command in JSON_ONLY else ["json", "csv"]
+        argv += ["--format", draw(st.sampled_from(formats))]
+    for flag in FLAGS[command]:
+        # --trials is always given, as its default of 1,000 is too many
+        # here, and so is --phi, which simulate-fees requires, when clean.
+        if flag == "--trials" or (clean and flag == "--phi") or draw(st.booleans()):
+            argv += [flag, draw(flag_values(flag, clean))]
+    return argv
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str, list]:
+    """main(argv)'s exit code, stdout, stderr and the RuntimeWarnings it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue(), [
+        str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def csv_header(command: str, n: int) -> list[str]:
+    if command == "simulate-fees":
+        return ["step", *(["x", "y"] if n == 2 else [f"x{k + 1}" for k in range(n)]), "phi"]
+    return [f"x{k + 1}" for k in range(n)] + [f"u{k + 1}" for k in range(n)]
+
+
+def refuse_constant(name: str):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(argvs())
+# The chain bound of this rule overflows in log_chains, which must not warn.
+@example(["check-axioms", "--rule", "wprod:1e-300,0.5,0.5", "--trials", "50", "--seed", "2"])
+def test_cli_contract_holds_on_any_flags(argv):
+    code, out, err, warned = run_in_process(argv)
+    assert warned == []
+    assert code in (0, 1, 2)
+    assert run_in_process(argv) == (code, out, err, [])
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1)
+    if code != 0:
+        return
+    command, rule = argv[0], argv[2]
+    default = "json" if command in JSON_ONLY else "csv"
+    fmt = argv[argv.index("--format") + 1] if "--format" in argv else default
+    if fmt == "json":
+        payload = json.loads(out, parse_constant=refuse_constant)
+        assert payload["spec_version"] == "1.0"
+        assert payload["command"] == command
+    else:
+        header, *rows = [line.split(",") for line in out.splitlines()]
+        assert header == csv_header(command, parse_rule(rule).dimension)
+        assert rows and all(len(row) == len(header) for row in rows)
+        [float(cell) for row in rows for cell in row]

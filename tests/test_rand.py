@@ -146,30 +146,28 @@ class ScalarStream:
 
 
 def test_lemire_rejections_match_scalar_reference():
-    # Zeroed halves are rejected under the bounds 3, 5 and 6; the reader
-    # must replay those rows and keep every row's word and cached half.
+    # Zeroed halves are rejected under the bounds 3, 5, 6 and 7; the reader
+    # must take those rejections in its one run, then stop at the word
+    # the reference stops at, where the next double starts.
     rng = np.random.Generator(np.random.Philox(key=11))
     words = rng.integers(0, 2**63, (64, 24), dtype=np.uint64) * np.uint64(2)
     for row in range(0, 64, 3):
         words[row, row % 7] &= np.uint64(0xFFFFFFFF00000000)
         words[row, (row + 3) % 11] &= np.uint64(0xFFFFFFFF)
     words[5, :6] = 0
-    highs = [3, 2, 6, 1, 5, 3, 2**32, 6]
+    highs = [3, 3, 2, 6, 1, 5, 3, 2**32, 6, 7, 7, 7]
     draws = Draws(np.zeros(64, dtype=np.uint64))
     draws.words = words
-    first = draws.integers([3])
+    got = draws.integers(highs)
+    pos = draws.pos.copy()
     doubles = draws.log_uniform(1.0, 8.0, 2)
-    rest = draws.integers(highs)
-    after = draws.integers([7, 7, 7])
     rejections = 0
     for row in range(64):
         ref = ScalarStream(words[row].tolist())
-        assert first[row, 0] == ref.bounded(3)
+        assert got[row].tolist() == [ref.bounded(h) for h in highs]
+        assert pos[row] == ref.pos
         u = np.array([ref.next_double() for _ in range(2)])
         assert doubles[row].tolist() == np.exp(0.0 + (math.log(8.0) - 0.0) * u).tolist()
-        assert rest[row].tolist() == [ref.bounded(h) for h in highs]
-        assert after[row].tolist() == [ref.bounded(7) for _ in range(3)]
-        assert draws.pos[row] == ref.pos
         rejections += ref.rejections
     assert rejections >= 20
 
