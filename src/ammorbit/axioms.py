@@ -301,9 +301,16 @@ def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray
     level = np.einsum("bmn,n->bm", logs, w)
     spread = level.max(axis=1) - level.min(axis=1) + 2.0 * delta * w.sum() + rounding
     reach = np.maximum(mu, (spread + mu * w.sum()) / w.min())
-    projected = np.sort(np.einsum("bmn,n->bm", logs, v), axis=1)
-    gaps = projected[:, 1:] - projected[:, :-1]
-    return np.all(gaps > (np.abs(v).sum() * (reach + rounding))[:, None], axis=1)
+    # The projections reuse the levels' array, and their gaps are taken in
+    # one flat pass: the gap from a chain's last state into the next chain
+    # is set to inf, so each chain's smallest gap is over its own states.
+    projected = np.einsum("bmn,n->bm", logs, v, out=level)
+    projected.sort(axis=1)
+    m = projected.shape[1]
+    gaps = np.diff(projected.ravel())
+    gaps[m - 1::m] = math.inf
+    smallest = np.minimum.reduceat(gaps, np.arange(0, gaps.size, m))
+    return smallest > np.abs(v).sum() * (reach + rounding)
 
 
 # Blocks of trials start small, so a rule that fails early costs what a
@@ -376,7 +383,10 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
         draws = trial_draws(cfg.seed, trials, words)
         drawn = entry.draw(draws, trials, cfg, n)
         words = draws.words_read
+        # A block's words and columns are freed before the next block is drawn.
+        del draws
         hit = _first_violation(rule, cfg, axiom, drawn)
+        del drawn
         if hit is not None:
             trial, inputs = first + hit[0], hit[1]
             violated, observed, expected = entry.predicate(rule, inputs, cfg.tolerance)

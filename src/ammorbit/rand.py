@@ -23,15 +23,16 @@ PRNG_ID = "philox4x64(key = seed xor trial)"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _MASK32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
 
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC 2011).
 _M0, _M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
 _W0, _W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
 _ROUNDS = 10
 
-# Counter blocks computed per pass of the kernel, which bounds its
-# temporaries to a few hundred kilobytes whatever the request.
-_SLAB = 8192
+# Counter blocks computed per pass of the kernel: its nine lanes of this
+# many words, 288 KB, are all the scratch it holds whatever the request.
+_SLAB = 4096
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -49,30 +50,49 @@ def log_uniform(rng: np.random.Generator, lo: float, hi: float, size=None):
     return np.exp(draw)
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products a * m."""
+def _mulhilo(a: np.ndarray, m: int, scratch: list) -> np.ndarray:
+    """The 128-bit products a * m in place: a becomes their low 64-bit words,
+    and their high words are returned in one of the four scratch arrays."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, a_hi = a & _MASK32, a >> np.uint64(32)
-    ll, lh, hl = a_lo * m_lo, a_lo * m_hi, a_hi * m_lo
-    carry = (ll >> np.uint64(32)) + (lh & _MASK32) + (hl & _MASK32)
-    hi = a_hi * m_hi + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (carry >> np.uint64(32))
-    return a * np.uint64(m), hi
+    t, u, v, h = scratch
+    np.bitwise_and(a, _MASK32, out=t)       # a_lo
+    np.right_shift(a, _32, out=u)           # a_hi
+    a *= np.uint64(m)
+    np.multiply(t, m_hi, out=v)             # lh = a_lo m_hi
+    t *= m_lo
+    t >>= _32                               # carry = (ll >> 32)
+    np.bitwise_and(v, _MASK32, out=h)
+    t += h                                  #   + (lh & mask)
+    v >>= _32
+    np.multiply(u, m_lo, out=h)             # hl = a_hi m_lo
+    u *= m_hi                               # hi = a_hi m_hi
+    u += v                                  #   + (lh >> 32)
+    np.bitwise_and(h, _MASK32, out=v)
+    t += v                                  # carry + (hl & mask)
+    h >>= _32
+    u += h                                  #   + (hl >> 32)
+    t >>= _32
+    u += t                                  #   + (carry >> 32)
+    return u
 
 
-def _philox(keys: np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Philox4x64-10 of the 256-bit counters (c, 0, 0, 0) under the
-    128-bit keys (k, 0): one row of four words per (key, counter) pair."""
-    c0, c1 = counters, np.zeros_like(counters)
-    c2, c3 = np.zeros_like(counters), np.zeros_like(counters)
-    k0, k1 = keys.copy(), 0
+def _philox(lanes: list, k0: np.ndarray, scratch: list) -> list:
+    """Philox4x64-10 in place on the four lanes of 256-bit counters, under
+    the 128-bit keys (k0, 0): returns the lanes in output order.  k0 and the
+    four scratch arrays are overwritten."""
+    c0, c1, c2, c3 = lanes
+    k1 = 0
     for r in range(_ROUNDS):
         if r:
             k0 += np.uint64(_W0)
             k1 = (k1 + _W1) & _MASK64
-        lo0, hi0 = _mulhilo(c0, _M0)
-        lo1, hi1 = _mulhilo(c2, _M1)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=1)
+        # (c0, c1, c2, c3) <- (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0).
+        c3 ^= _mulhilo(c0, _M0, scratch)
+        c3 ^= np.uint64(k1)
+        c1 ^= _mulhilo(c2, _M1, scratch)
+        c1 ^= k0
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    return [c0, c1, c2, c3]
 
 
 def philox_words(keys: np.ndarray, blocks: int, first: int = 0) -> np.ndarray:
@@ -86,10 +106,21 @@ def philox_words(keys: np.ndarray, blocks: int, first: int = 0) -> np.ndarray:
         out = np.empty((total, 4), dtype=np.uint64)
     except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot hold {total} Philox blocks of draws: {exc}") from None
+    # Every pass reuses nine lanes: the counters, the keys and the products'
+    # scratch.  Each is its own array, small enough to come from malloc's
+    # heap: freeing one block big enough to be mapped apart would raise
+    # glibc's mmap threshold for the rest of the process.
+    buffers = [np.empty(min(_SLAB, total), dtype=np.uint64) for _ in range(9)]
     for lo in range(0, total, _SLAB):
-        flat = np.arange(lo, min(lo + _SLAB, total), dtype=np.uint64)
-        out[lo:lo + flat.size] = _philox(keys[flat // np.uint64(blocks)],
-                                         flat % np.uint64(blocks) + np.uint64(first + 1))
+        size = min(_SLAB, total - lo)
+        c0, c1, c2, c3, k0, *scratch = (buffer[:size] for buffer in buffers)
+        c1[:] = np.arange(lo, lo + size, dtype=np.uint64)
+        keys.take(np.floor_divide(c1, np.uint64(blocks), out=c2), out=k0)
+        np.remainder(c1, np.uint64(blocks), out=c0)
+        c0 += np.uint64(first + 1)
+        c1[:] = c2[:] = c3[:] = 0
+        for k, lane in enumerate(_philox([c0, c1, c2, c3], k0, scratch)):
+            out[lo:lo + size, k] = lane
     return out.reshape(keys.size, 4 * blocks)
 
 
@@ -152,33 +183,42 @@ class Draws:
         reads, so a ``Draws`` takes at most one run.
         """
         highs = np.asarray(highs, dtype=np.uint64)
-        out = np.zeros((self.pos.size, highs.size), dtype=np.int64)
         live = np.flatnonzero(highs > 1)
         if live.size == 0:
-            return out
+            return np.zeros((self.pos.size, highs.size), dtype=np.int64)
         bounds = highs[live]
-        thresholds = np.uint64(2**32) % bounds
-        # The half each draw reads: a pass that finds a row's first
-        # rejection moves that draw and the row's later draws on by one.
-        at = np.tile(np.arange(live.size), (self.pos.size, 1))
+        # Lemire's test in 32-bit arithmetic: the low word of half * bound is
+        # exact mod 2**32, and a bound of 2**32 wraps to 0 with threshold 0.
+        low_bounds = bounds.astype(np.uint32)
+        thresholds = (np.uint64(2**32) % bounds).astype(np.uint32)
+        # The half each draw reads, counted from the row's first word: a pass
+        # that finds a row's first rejection moves that draw and the row's
+        # later draws on by one.
+        first = 2 * self.pos
+        at = np.broadcast_to(np.arange(live.size), (self.pos.size, live.size))
         while True:
-            words = self._read(int(at[:, -1].max()) // 2 + 1)
-            halves = np.stack([words & _MASK32, words >> np.uint64(32)], axis=2)
-            scaled = np.take_along_axis(halves.reshape(len(words), -1), at, axis=1) * bounds
-            rejected = (scaled & _MASK32) < thresholds
+            self._ensure(int((first + at[:, -1]).max()) // 2 + 1)
+            halves = self.words.astype("<u8", copy=False).view("<u4")
+            halves = np.take_along_axis(halves, first[:, None] + at, axis=1)
+            rejected = halves * low_bounds < thresholds
             if not rejected.any():
                 break
-            at += np.logical_or.accumulate(rejected, axis=1)
-        out[:, live] = scaled >> np.uint64(32)
-        self.pos += at[:, -1] // 2 + 1
+            at = at + np.logical_or.accumulate(rejected, axis=1)
+        self.pos = (first + at[:, -1]) // 2 + 1
+        # Only the accepted halves are widened to 64 bits.
+        halves = halves * bounds
+        halves >>= _32
+        out = np.zeros((self.pos.size, highs.size), dtype=np.int64)
+        out[:, live] = halves
         return out
 
     def pairs(self, n: int, count: int) -> np.ndarray:
-        """(2, rows, count): count uniformly drawn ordered pairs of distinct
+        """(2, rows, count) int32: count uniformly drawn ordered pairs of distinct
         token indices below n per row, as (first indices, second indices)."""
-        raw = self.integers([n, n - 1] * count)
-        i, j = raw[:, 0::2], raw[:, 1::2]
-        return np.stack([i, j + (j >= i)])
+        raw = self.integers([n, n - 1] * count).reshape(-1, count, 2)
+        i, j = raw[:, :, 0], raw[:, :, 1]
+        j += j >= i
+        return raw.astype(np.int32).transpose(2, 0, 1)
 
 
 def _log(values: np.ndarray) -> np.ndarray:

@@ -155,13 +155,20 @@ class _Pair:
         log1p(x) (e_i - (w_i / w_j) e_j) whatever the state, so logs is one
         cumulative sum; swap_batch's errors add up along it, as new_j depends
         on s_i only through new_i / s_i."""
-        rows, steps = np.arange(len(i))[:, None], np.arange(1, i.shape[1] + 1)
+        rows, steps = len(i), i.shape[1]
         ratio = self.w[i] / self.w[j]
+        inverse_sum = (1.0 / self.w[j]).sum(axis=1)
         step = np.log1p(fractions)
-        logs = np.zeros((len(i), steps.size + 1, self.w.size))
+        moved = (step * (1.0 + ratio)).sum(axis=1)
+        ratio_sum = ratio.sum(axis=1)
+        # ratio's array becomes the moves of log s_j, -ratio * step.
+        moves_j = np.negative(ratio, out=ratio)
+        moves_j *= step
+        logs = np.zeros((rows, steps + 1, self.w.size))
         logs[:, 0] = np.log(start)
-        logs[rows, steps, i] = step
-        logs[rows, steps, j] = -ratio * step
+        for k in range(self.w.size):
+            np.copyto(logs[:, 1:, k], step, where=i == k)
+            np.copyto(logs[:, 1:, k], moves_j, where=j == k)
         np.cumsum(logs, axis=1, out=logs)
         top = np.maximum(logs.max(axis=(1, 2)), -logs.min(axis=(1, 2)))
         # A trade's log new_j is within 64 eps ((|log s_i| + |log s_j| + |log
@@ -169,9 +176,8 @@ class _Pair:
         # at most the sum of |log|s over w_j, new_i rounds once, and by w_i / w_j
         # through the exp; the exp adds its ulp.  Summed with each |log| at most
         # top, then the rounding of np.log, log1p, the ratio and the sum.
-        delta = _SCREEN_ULPS * (3.0 * top * (1.0 / self.w[j]).sum(axis=1) + ratio.sum(axis=1)
-                                + 2.0 * steps.size)
-        delta += 4.0 * (steps.size + 2) * _EPS * (top + (step * (1.0 + ratio)).sum(axis=1))
+        delta = _SCREEN_ULPS * (3.0 * top * inverse_sum + ratio_sum + 2.0 * steps)
+        delta += 4.0 * (steps + 2) * _EPS * (top + moved)
         counts = (top + delta < math.log(_SCREEN_RANGE[1])) & (delta < _SCREEN_CAP)
         return logs, np.where(counts, delta, math.inf)
 
@@ -206,7 +212,10 @@ def wgm(weight: float) -> SwapRule:
     require_real("wgm weight", weight)
     if not (0.0 < weight < 1.0):
         raise ConfigError(f"wgm weight must lie strictly in (0, 1), got {weight!r}")
-    return weighted_product((float(weight), 1.0 - float(weight)))
+    complement = 1.0 - float(weight)
+    if complement == 1.0:
+        raise ConfigError(f"wgm weight {weight!r} is too small: 1 - w rounds to 1.0")
+    return weighted_product((float(weight), complement))
 
 
 def product() -> SwapRule:

@@ -38,6 +38,12 @@ class TestExitCodes:
         assert cli.main(["check-axioms", "--rule", "bogus"]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_a_vanishing_wgm_weight_exits_two_naming_it(self, capsys):
+        assert cli.main(["check-axioms", "--rule", "wgm:1e-17"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: wgm weight 1e-17 is too small: 1 - w rounds to 1.0\n"
+
     def test_unknown_flag_exits_two(self, capsys):
         assert cli.main(["check-axioms", "--rule", "wgm:0.5", "--frobnicate"]) == 2
 

@@ -10,6 +10,7 @@ the witness.
 import dataclasses
 import decimal
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -630,3 +631,35 @@ def test_a_certified_chain_has_no_dominating_pair_on_the_exact_path(data):
              "fractions": x[None]}
     if certified(rule, drawn)[0]:
         assert not flagged(rule, drawn)[0]
+
+
+def traced_peak(check, rule, trials: int) -> int:
+    """tracemalloc peak of check(rule, ...) at trials, which must all pass,
+    after a short warm-up run."""
+    check(rule, TrialConfig(seed=0, trials=8))
+    tracemalloc.start()
+    try:
+        report = check(rule, TrialConfig(seed=0, trials=trials))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == trials
+    return peak
+
+
+@pytest.mark.parametrize("text,bound", [("wprod:0.2,0.3,0.5", 1.25e6), ("wgm:0.3", 1.1e6)])
+def test_a_pareto_block_holds_little_more_than_its_own_chains(text, bound):
+    # A 512-chain block of 32 moves on three tokens holds its Philox words
+    # (0.28 MB), its drawn columns (0.27 MB) and its log cloud (0.41 MB),
+    # never two at their largest and never the block before it: 1.01 MB and
+    # 0.86 MB at the peak, where whole-array temporaries took 2.39 and 1.92.
+    peak = traced_peak(check_pareto, parse_rule(text), 4000)
+    assert peak < bound, peak
+
+
+@pytest.mark.parametrize("check", [check_validity_invariance, check_unit_invariance])
+def test_validity_and_unit_blocks_hold_little_more_than_their_rows(check):
+    # 0.14 and 0.15 MB at the peak, against 0.28 and 0.29 MB with
+    # whole-array temporaries.
+    peak = traced_peak(check, parse_rule("wprod:0.2,0.3,0.5"), 4000)
+    assert peak < 2e5, peak

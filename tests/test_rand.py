@@ -183,6 +183,40 @@ def test_lemire_reader_matches_generator_on_rejected_draws():
         assert got[key].tolist() == want.tolist()
 
 
+# Lemire's test runs in 32-bit arithmetic: each of these bounds has its own
+# edge there (2**32 wraps to 0 with threshold 0, 2**32 - 1 and 2**31 + 1
+# reject often, 2**16 + 1 and 3 seldom).
+LEMIRE_BOUNDS = [2**32, 2**32 - 1, 2**31 + 1, 2**16 + 1, 3]
+
+
+@pytest.mark.parametrize("highs", [
+    LEMIRE_BOUNDS,
+    [3, 2**31 + 1, 2**32, 1, 2**16 + 1, 2**32 - 1, 2**31 + 1, 3, 2**32],
+    [2**31 + 1] * 6 + [2**32 - 1, 3, 2**16 + 1, 2**32 - 1, 2**32],
+])
+def test_uint32_lemire_reader_matches_generator(highs):
+    keys = np.arange(200, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    draws = Draws(keys)
+    got = draws.integers(highs)
+    doubles = draws.log_uniform(1.0, 8.0, 2)
+    assert got.dtype == np.int64
+    for k, key in enumerate(keys.tolist()):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert got[k].tolist() == rng.integers(0, highs).tolist()
+        # The next double starts at the word after the run, as numpy's does.
+        assert doubles[k].tolist() == log_uniform(rng, 1.0, 8.0, 2).tolist()
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_pairs_match_scalar_pair_draws(n):
+    keys = np.arange(200, dtype=np.uint64) * np.uint64(0xBB67AE8584CAA73B)
+    i, j = Draws(keys).pairs(n, 33)
+    assert i.dtype == j.dtype == np.int32
+    for k, key in enumerate(keys.tolist()):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        assert list(zip(i[k].tolist(), j[k].tolist())) == [pair(rng, n) for _ in range(33)]
+
+
 def test_fee_trades_orbit_fractions_and_starts_match_trial_rng(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_TRADE_BLOCK", 4)
     for n in (2, 3):

@@ -311,6 +311,16 @@ class TestRuleConstruction:
             with pytest.raises(ConfigError):
                 wgm(bad)
 
+    def test_wgm_refuses_a_weight_whose_complement_rounds_to_one(self):
+        # 1 - w rounds to 1.0 for w <= 2**-54; the refusal names the weight
+        # typed, not the pair (w, 1.0) that weighted_product would refuse.
+        for bad in (1e-17, 2.0**-54, 1e-300, 5e-324):
+            with pytest.raises(ConfigError) as info:
+                wgm(bad)
+            assert type(info.value) is ConfigError
+            assert str(info.value) == f"wgm weight {bad!r} is too small: 1 - w rounds to 1.0"
+        assert tuple(wgm(2.0**-53).weights) == (2.0**-53, 1.0 - 2.0**-53)
+
     def test_wgm_takes_numpy_reals_and_refuses_bools(self):
         assert wgm(np.float32(0.25)).name == "wgm:0.25"
         assert wgm(np.float64(0.25)).name == "wgm:0.25"
