@@ -118,29 +118,39 @@ def _violates_validity(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, 
     return not np.all(out > 0.0, axis=-1), out.tolist(), expected
 
 
+# Rows of a chain that _dominating_pair compares with all of its states at
+# once: a block holds O(m) cells, not the whole (m, m) matrix.
+_SCAN_ROWS = 64
+
+
 @np.errstate(over="ignore")
 def _dominating_pair(states: np.ndarray) -> tuple[int, int] | None:
     """First (dominating, dominated) index pair of a chain's states (m, n),
     in row-major order, under the 1e-12 margin, or None.
 
     p dominates q when p is above q on some coordinate and q is above p
-    on none, "above" meaning by more than the margin.  Built one
-    coordinate plane at a time.  fl(p - q) == -fl(q - p) and the slack is
-    symmetric in p and q, so on finite inputs "q is not above p" is
-    exactly the test "p - q >= -slack" on every coordinate; no state is
-    above itself.  A difference that overflows is an infinity, above any slack.
+    on none, "above" meaning by more than the margin.  Built a block of
+    rows and one coordinate plane at a time.  fl(q - p) == -fl(p - q) and
+    the slack is symmetric in p and q, so "q above p" is exactly
+    -(p - q) > slack; no state is above itself.  A difference that
+    overflows is an infinity, above any slack.
     """
-    size = len(states)
     magnitude = np.abs(states)
-    above = np.zeros((size, size), dtype=bool)
-    for k in range(states.shape[1]):
-        slack = np.maximum(magnitude[:, None, k], magnitude[None, :, k])
-        slack *= PARETO_MARGIN
-        above |= states[:, None, k] - states[None, :, k] > slack
-    dominates = above & ~above.T
-    if not dominates.any():
-        return None
-    return divmod(int(np.flatnonzero(dominates)[0]), size)
+    for lo in range(0, len(states), _SCAN_ROWS):
+        rows = slice(lo, lo + _SCAN_ROWS)
+        above = np.zeros((len(states[rows]), len(states)), dtype=bool)
+        below = np.zeros_like(above)
+        for k in range(states.shape[1]):
+            diff = states[rows, None, k] - states[None, :, k]
+            slack = np.maximum(magnitude[rows, None, k], magnitude[None, :, k])
+            slack *= PARETO_MARGIN
+            above |= diff > slack
+            below |= np.negative(diff, out=diff) > slack
+        above &= ~below
+        if above.any():
+            row, col = divmod(int(np.flatnonzero(above)[0]), len(states))
+            return lo + row, col
+    return None
 
 
 def _violates_pareto(rule: SwapRule, inputs: dict, tol: float) -> tuple[bool, object, object]:
@@ -314,9 +324,12 @@ def _certified(logs: np.ndarray, delta: np.ndarray, w: np.ndarray) -> np.ndarray
 
 
 # Blocks of trials start small, so a rule that fails early costs what a
-# one-trial-at-a-time loop would, and double up to a cap.
+# one-trial-at-a-time loop would, and double up to a cap: _MAX_BLOCK
+# trials, or as many Pareto chains as hold _BLOCK_MOVES drawn moves, and
+# never fewer than one chain.
 _FIRST_BLOCK = 8
 _MAX_BLOCK = 512
+_BLOCK_MOVES = 8192
 
 
 class _Axiom(NamedTuple):
@@ -377,7 +390,8 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
     n, entry = rule.dimension, _AXIOMS[axiom]
     # Each block computes up front the Philox words per trial that the
     # block before it read, so its draws take one kernel pass.
-    first, size, words = 0, _FIRST_BLOCK, 0
+    cap = max(1, _BLOCK_MOVES // cfg.chain_length) if axiom == "pareto_efficiency" else _MAX_BLOCK
+    first, size, words = 0, min(_FIRST_BLOCK, cap), 0
     while first < cfg.trials:
         trials = np.arange(first, min(first + size, cfg.trials))
         draws = trial_draws(cfg.seed, trials, words)
@@ -397,7 +411,7 @@ def _run_trials(rule: SwapRule, cfg: TrialConfig, axiom: str,
                               seed=cfg.seed, trial=trial)
             return AxiomReport(axiom=axiom, rule=rule.name, trials=trial + 1, passed=False,
                                witness=witness, tolerance=cfg.tolerance, scope=scope)
-        first, size = first + trials.size, min(2 * size, _MAX_BLOCK)
+        first, size = first + trials.size, min(2 * size, cap)
     return AxiomReport(axiom=axiom, rule=rule.name, trials=cfg.trials, passed=True,
                        witness=None, tolerance=cfg.tolerance, scope=scope)
 
@@ -581,9 +595,9 @@ def report_to_dict(report: AxiomReport) -> dict:
     witness = None
     if report.witness is not None:
         witness = {
-            "inputs": _jsonable(report.witness.inputs),
-            "observed": _jsonable(report.witness.observed),
-            "expected": _jsonable(report.witness.expected),
+            "inputs": report.witness.inputs,
+            "observed": report.witness.observed,
+            "expected": report.witness.expected,
             "seed": int(report.witness.seed),
             "trial": int(report.witness.trial),
         }
@@ -601,10 +615,3 @@ def report_to_dict(report: AxiomReport) -> dict:
         out["scope"] = report.scope
     return out
 
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value

@@ -199,10 +199,14 @@ def _cloud(sample: OrbitSample) -> np.ndarray:
 def _require_spread(cloud: np.ndarray) -> None:
     # Row blocks against the whole cloud: the same distances as one
     # m x m tensor, in bounded memory, stopping at the first wide block.
-    for lo in range(0, cloud.shape[0], _SPREAD_BLOCK):
-        diffs = cloud[lo:lo + _SPREAD_BLOCK, None, :] - cloud[None, :, :]
+    # The first block is one row, which settles any cloud that is not
+    # nearly one point.
+    lo, size = 0, 1
+    while lo < cloud.shape[0]:
+        diffs = cloud[lo:lo + size, None, :] - cloud[None, :, :]
         if float(np.max(np.linalg.norm(diffs, axis=2))) > DISTINCT_EPS:
             return
+        lo, size = lo + size, _SPREAD_BLOCK
     raise DegenerateSampleError(
         f"all {cloud.shape[0]} log points coincide within {DISTINCT_EPS}"
     )

@@ -206,6 +206,28 @@ class TestLineFit:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
 
+    def test_spread_check_settles_a_wide_cloud_on_its_first_row(self):
+        # 100,001 points: a first block of one row holds 1.6 MB of
+        # differences, where one of eight rows held 12.8 MB and the fit
+        # peaked at 38 MB.
+        sample = sample_orbit(wgm(0.5), as_reserves([1.0, 1.0]), count=100_000, seed=7)
+        tracemalloc.start()
+        try:
+            fit = fit_log_line(sample)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.slope == pytest.approx(-1.0)
+        assert peak < 8 * 2**20, peak
+
+    def test_spread_check_scans_past_its_first_row(self):
+        # Every point is within DISTINCT_EPS of the first, but the last two
+        # are 1.6e-10 apart: the cloud is not degenerate.
+        points = [[0.3, 0.4]] * 9 + [[0.3 + 0.8e-10, 0.4], [0.3 - 0.8e-10, 0.4]]
+        fit_log_line(synthetic_orbit("x", points))
+        with pytest.raises(DegenerateSampleError):
+            fit_log_line(synthetic_orbit("x", points[:-1]))
+
     def test_residual_measures_orthogonal_scatter(self):
         sample = synthetic_orbit("x", [[0.0, 0.01], [1.0, -1.0], [2.0, -2.0],
                                        [-1.0, 1.0]])

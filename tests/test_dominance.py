@@ -1,7 +1,7 @@
 """The plane-by-plane Pareto dominance scan against the 4-D formula.
 
-axioms._dominating_pair builds a chain's (m, m) dominance matrix one
-coordinate plane at a time and returns its first pair.
+axioms._dominating_pair builds a chain's dominance matrix a block of rows
+and one coordinate plane at a time, and returns its first pair.
 reference_dominance is the formula it replaced, which tests every pair of
 every chain on every coordinate at once.  The two must pick the same pair
 of every finite chain, ties at the margin included.
@@ -109,3 +109,51 @@ def test_dominating_pair_is_the_first_in_row_major_order():
     assert axioms._dominating_pair(states) == (0, 2)
     assert axioms._dominating_pair(states[[0, 1, 3]][::2]) == (1, 0)
     assert axioms._dominating_pair(states[[1, 3]]) is None
+
+
+def long_antichain(m: int) -> np.ndarray:
+    """m states of x * y = 1, far more than a margin apart: none dominates another."""
+    t = np.linspace(-3.0, 3.0, m)
+    return np.stack([np.exp(t), np.exp(-t)], axis=1)
+
+
+ROWS = axioms._SCAN_ROWS
+
+
+@pytest.mark.parametrize("dominating,dominated", [
+    (ROWS + 5, 2 * ROWS + 7),   # the first pair starts after the first row block
+    (2 * ROWS + 3, 10),         # its dominated state sits in an earlier block
+    (ROWS, ROWS - 1),           # across the edge of the first block
+    (3 * ROWS + 4, ROWS + 4),
+])
+def test_planted_pair_in_a_chain_of_several_row_blocks(dominating, dominated):
+    states = long_antichain(3 * ROWS + 5)
+    assert axioms._dominating_pair(states) is None
+    states[dominating] = states[dominated] * (1.0 + 1e-9)
+    want = assert_same(states[None])
+    assert axioms._dominating_pair(states) == (dominating, dominated)
+    assert np.flatnonzero(want[0]).tolist() == [dominating * len(states) + dominated]
+
+
+def test_planted_pair_under_an_overflowing_difference():
+    # 1.5e308 - (-1.5e308) overflows to inf, above any slack.  The last two
+    # coordinates keep every state incomparable with every other, so the
+    # one pair is the later state over the earlier, past the first block.
+    states = np.insert(long_antichain(2 * ROWS + 9), 0, 1.0, axis=1)
+    states[ROWS + 2, 0] = -1.5e308
+    states[2 * ROWS + 4] = states[ROWS + 2]
+    states[2 * ROWS + 4, 0] = 1.5e308
+    with np.errstate(over="ignore"):
+        assert np.isinf(states[2 * ROWS + 4, 0] - states[ROWS + 2, 0])
+    want = assert_same(states[None])
+    assert axioms._dominating_pair(states) == (2 * ROWS + 4, ROWS + 2)
+    assert np.flatnonzero(want[0]).size == 1
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(ROWS + 1, 3 * ROWS), st.data())
+def test_matches_reference_on_chains_longer_than_a_row_block(m, data):
+    # Few distinct values, so that ties, repeats and dominance all occur.
+    values = st.sampled_from([-1.0, 0.0, PARETO_MARGIN, 1.0, 1.0 + PARETO_MARGIN, 2.0])
+    chain = data.draw(arrays(np.float64, (1, m, 2), elements=values))
+    assert_same(chain)

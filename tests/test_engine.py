@@ -23,6 +23,7 @@ from ammorbit import (
     TrialConfig,
     check_all,
     check_pareto,
+    check_token_symmetry,
     check_unit_invariance,
     check_validity_invariance,
     constant_sum,
@@ -663,3 +664,53 @@ def test_validity_and_unit_blocks_hold_little_more_than_their_rows(check):
     # whole-array temporaries.
     peak = traced_peak(check, parse_rule("wprod:0.2,0.3,0.5"), 4000)
     assert peak < 2e5, peak
+
+
+def test_a_long_chain_check_holds_one_row_block_of_its_scan():
+    # 4,097 states a chain: the whole-matrix dominance scan held (m, m)
+    # planes, about 300 MB at the peak; a row block of _SCAN_ROWS rows holds
+    # 64 x 4,097 cells a plane, a few MB.
+    check_pareto(wgm(0.3), TrialConfig(seed=0, trials=8))
+    tracemalloc.start()
+    try:
+        report = check_pareto(wgm(0.3), TrialConfig(seed=7, trials=4, chain_length=4096))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.trials == 4
+    assert peak < 16 * 2**20, peak
+
+
+def block_sizes(monkeypatch, check, rule, cfg) -> list:
+    """The number of trials each block of check(rule, cfg) draws, which
+    must pass."""
+    sizes = []
+
+    def counting(seed, trials, words=0):
+        sizes.append(len(trials))
+        return trial_draws(seed, trials, words)
+
+    monkeypatch.setattr(axioms, "trial_draws", counting)
+    report = check(rule, cfg)
+    assert report.passed and sum(sizes) == cfg.trials
+    return sizes
+
+
+@pytest.mark.parametrize("length,want", [
+    (32, [8, 16, 32, 64, 128, 256, 256, 240]),   # 256 chains of 32 moves
+    (3000, [2] * 6),
+    (axioms._BLOCK_MOVES + 1, [1, 1]),           # above the budget: one chain a block
+])
+def test_a_pareto_block_draws_at_most_its_move_budget(monkeypatch, length, want):
+    sizes = block_sizes(monkeypatch, check_pareto, wgm(0.3),
+                        TrialConfig(seed=0, trials=sum(want), chain_length=length))
+    assert sizes == want
+    assert max(sizes) * length <= max(axioms._BLOCK_MOVES, length)
+
+
+@pytest.mark.parametrize("check", [check_validity_invariance, check_unit_invariance,
+                                   check_token_symmetry])
+def test_row_checks_ramp_to_their_trial_cap_whatever_the_chain_length(monkeypatch, check):
+    sizes = block_sizes(monkeypatch, check, wgm(0.5),
+                        TrialConfig(seed=0, trials=2000, chain_length=4096))
+    assert sizes == [8, 16, 32, 64, 128, 256, 512, 512, 472]
