@@ -37,9 +37,6 @@ from .rand import trial_draws
 from .rules import SwapRule, _describe_exit, _walk
 from .state import _csv, _freeze, _width, rel_close, require_valid
 
-# Log points closer than this are not distinct enough to anchor a fit.
-DISTINCT_EPS = 1e-10
-
 # Singular values below this count as zero when ranking a centered cloud.
 RANK_EPS = 1e-10
 
@@ -47,9 +44,6 @@ RANK_EPS = 1e-10
 COMPONENT_EPS = 1e-9
 
 MIN_ORBIT_SAMPLES = 8
-
-# Rows of the cloud compared against all of it at once by the spread check.
-_SPREAD_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -196,20 +190,21 @@ def _cloud(sample: OrbitSample) -> np.ndarray:
     return cloud
 
 
-def _require_spread(cloud: np.ndarray) -> None:
-    # Row blocks against the whole cloud: the same distances as one
-    # m x m tensor, in bounded memory, stopping at the first wide block.
-    # The first block is one row, which settles any cloud that is not
-    # nearly one point.
-    lo, size = 0, 1
-    while lo < cloud.shape[0]:
-        diffs = cloud[lo:lo + size, None, :] - cloud[None, :, :]
-        if float(np.max(np.linalg.norm(diffs, axis=2))) > DISTINCT_EPS:
-            return
-        lo, size = lo + size, _SPREAD_BLOCK
-    raise DegenerateSampleError(
-        f"all {cloud.shape[0]} log points coincide within {DISTINCT_EPS}"
-    )
+def _centered_svd(cloud: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The mean, the centered cloud and the right singular vectors of a finite
+    (m, n) log cloud: DegenerateSampleError unless it holds at least n points
+    whose centered rank is at least n - 1."""
+    m, n = cloud.shape
+    if m < n:
+        raise DegenerateSampleError(f"need at least {n} log points to fit {n} tokens, got {m}")
+    mean = cloud.mean(axis=0)
+    centered = cloud - mean
+    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
+    rank = int(np.sum(sv > RANK_EPS))
+    if rank < n - 1:
+        raise DegenerateSampleError(f"centered cloud has rank {rank} < {n - 1}; orbit sampling "
+                                    f"did not explore enough directions")
+    return mean, centered, vt
 
 
 def fit_log_line(sample: OrbitSample) -> LineFit:
@@ -221,12 +216,8 @@ def fit_log_line(sample: OrbitSample) -> LineFit:
     cloud = _cloud(sample)
     if cloud.ndim != 2 or cloud.shape[1] != 2:
         raise UsageError(f"line fits need two-token samples, got shape {cloud.shape}")
-    _require_spread(cloud)
-    mean = cloud.mean(axis=0)
-    centered = cloud - mean
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0]
-    normal = vt[1]
+    mean, centered, vt = _centered_svd(cloud)
+    direction, normal = vt
     if abs(direction[0]) <= 1e-12:
         raise VerticalFitError("log points fall on a vertical line; no finite slope")
     slope = float(direction[1] / direction[0])
@@ -341,18 +332,7 @@ def fit_log_hyperplane(sample: OrbitSample) -> HyperplaneFit:
     cloud = _cloud(sample)
     if cloud.ndim != 2 or cloud.shape[1] < 2:
         raise UsageError(f"hyperplane fits need an (m, n>=2) cloud, got shape {cloud.shape}")
-    n = cloud.shape[1]
-    if cloud.shape[0] < n:
-        raise DegenerateSampleError(f"need at least {n} points to pin an {n}-token hyperplane")
-    mean = cloud.mean(axis=0)
-    centered = cloud - mean
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    rank = int(np.sum(sv > RANK_EPS))
-    if rank < n - 1:
-        raise DegenerateSampleError(
-            f"centered cloud has rank {rank} < {n - 1}; orbit sampling did not "
-            f"explore enough directions"
-        )
+    mean, centered, vt = _centered_svd(cloud)
     normal = vt[-1]
     total = float(np.sum(normal))
     if total < 0.0:

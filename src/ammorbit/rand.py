@@ -159,18 +159,17 @@ class Draws:
     def log_uniform(self, lo: float, hi, count: int) -> np.ndarray:
         """(rows, count): ``log_uniform(rng, lo, hi, count)`` on each row's stream.
 
-        hi is a float or a per-row array; a row with lo == hi reads
-        nothing and gets lo.
+        hi is a float or a per-row array, equal to lo on every row or on
+        none; when it is lo on every row, nothing is read and every draw is lo.
         """
         hi = np.broadcast_to(np.asarray(hi, dtype=float), self.pos.shape)
-        same = hi == lo
-        if same.all():
+        if np.all(hi == lo):
             return np.full((self.pos.size, count), lo)
         u = (self._read(count) >> np.uint64(11)).astype(float) * 2.0**-53
-        self.pos += count * ~same
+        self.pos += count
         # Generator.uniform's own arithmetic, on bounds logged by libm.
         low, high = math.log(lo), _log(hi)[:, None]
-        return np.where(same[:, None], lo, np.exp(low + (high - low) * u))
+        return np.exp(low + (high - low) * u)
 
     def integers(self, highs) -> np.ndarray:
         """(rows, len(highs)) int64: ``rng.integers(0, highs)`` on each row's stream.

@@ -79,19 +79,26 @@ def log_map(s) -> np.ndarray:
 
 
 def exp_map(z) -> np.ndarray:
-    """Inverse of log_map; any finite log point maps to a valid state."""
+    """Inverse of log_map: the valid state of a finite log point, or
+    NumericError where exp leaves the float range."""
     a = _vector(z, "log point", "log point coordinate")
     with np.errstate(over="ignore"):
         out = np.exp(a)
-    if not np.all(np.isfinite(out)):
-        raise NumericError(f"exp_map overflow for log point {a.tolist()}")
+    if not _positive(out):
+        raise NumericError(f"exp_map of log point {a.tolist()} leaves the float range: "
+                           f"{out.tolist()}")
     return _freeze(out)
 
 
 def scale(s, factors) -> np.ndarray:
-    """Rescale each reserve by a positive per-token factor (a change of units)."""
+    """Rescale each reserve by a positive per-token factor (a change of units):
+    NumericError unless the rescaled state is valid."""
     a = require_valid(s)
-    return _freeze(a * _factors(factors, a.shape))
+    with np.errstate(over="ignore"):
+        out = a * _factors(factors, a.shape)
+    if not _positive(out):
+        raise NumericError(f"scale of {a.tolist()} leaves the float range: {out.tolist()}")
+    return _freeze(out)
 
 
 def _factors(factors, shape: tuple) -> np.ndarray:
@@ -143,8 +150,13 @@ def weighted_gmean(s, weights) -> float:
 
 
 def _gmean(w: np.ndarray, logs: np.ndarray) -> float:
-    """exp(w . logs), one dot product per state: a matrix product may round otherwise."""
-    return math.exp(float(np.dot(w, logs)))
+    """exp(w . logs), one dot product per state: a matrix product may round
+    otherwise.  NumericError where it overflows."""
+    z = float(np.dot(w, logs))
+    try:
+        return math.exp(z)
+    except OverflowError:
+        raise NumericError(f"invariant overflow: exp({z!r}) exceeds the float range") from None
 
 
 def rel_close(a, b, tol: float = REL_TOL) -> bool:

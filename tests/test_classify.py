@@ -7,6 +7,7 @@ generating weights far below the verification tolerance.
 
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -183,8 +184,8 @@ class TestLineFit:
             fit_log_line(sample)
 
     def test_large_orbit_fit_stays_small(self):
-        # The spread check scans the cloud in row blocks rather than
-        # building the full m x m x 2 distance tensor (67 MB here).
+        # The fit holds a few (m, 2) arrays, never an m x m x 2 tensor of
+        # pairwise distances (67 MB here).
         sample = sample_orbit(wgm(0.8), as_reserves([1.0, 1.0]), count=2048, seed=7)
         tracemalloc.start()
         try:
@@ -195,8 +196,8 @@ class TestLineFit:
         assert peak < 16 * 2**20
 
     def test_spread_check_compares_a_few_rows_at_a_time(self):
-        # 2,049 points: each block of the spread check holds block x 2,049
-        # x 2 differences, 6 MB at 64 rows a block.
+        # 2,049 points: the centered cloud and its SVD hold a few (2,049, 2)
+        # arrays, where 64 rows of pairwise differences would hold 6 MB.
         sample = sample_orbit(wgm(0.8), as_reserves([1.0, 1.0]), count=2048, seed=7)
         tracemalloc.start()
         try:
@@ -207,8 +208,8 @@ class TestLineFit:
         assert peak < 1.5 * 2**20
 
     def test_spread_check_settles_a_wide_cloud_on_its_first_row(self):
-        # 100,001 points: a first block of one row holds 1.6 MB of
-        # differences, where one of eight rows held 12.8 MB and the fit
+        # 100,001 points: each (m, 2) array of the fit holds 1.6 MB, where
+        # eight rows of pairwise differences held 12.8 MB and the fit
         # peaked at 38 MB.
         sample = sample_orbit(wgm(0.5), as_reserves([1.0, 1.0]), count=100_000, seed=7)
         tracemalloc.start()
@@ -221,12 +222,40 @@ class TestLineFit:
         assert peak < 8 * 2**20, peak
 
     def test_spread_check_scans_past_its_first_row(self):
-        # Every point is within DISTINCT_EPS of the first, but the last two
-        # are 1.6e-10 apart: the cloud is not degenerate.
+        # Every point is within 1e-10 of the first, but the last two are
+        # 1.6e-10 apart: the centered cloud's singular value clears RANK_EPS,
+        # so it is not degenerate, and without the last point it does not.
         points = [[0.3, 0.4]] * 9 + [[0.3 + 0.8e-10, 0.4], [0.3 - 0.8e-10, 0.4]]
         fit_log_line(synthetic_orbit("x", points))
         with pytest.raises(DegenerateSampleError):
             fit_log_line(synthetic_orbit("x", points[:-1]))
+
+    def test_near_coincident_cloud_is_refused_fast(self):
+        # 20,000 points within 1e-13 of one another: one SVD of the centered
+        # cloud refuses it, where a pairwise distance scan took 19 s.
+        points = 0.3 + 1e-14 * (np.arange(40_000) % 7).reshape(-1, 2)
+        began = time.perf_counter()
+        with pytest.raises(DegenerateSampleError):
+            fit_log_line(synthetic_orbit("x", points))
+        assert time.perf_counter() - began < 1.0
+
+    @pytest.mark.parametrize("points, degenerate", [
+        # Two halves 7.1e-11 apart along the antidiagonal: rank 1 at 64 points.
+        ([[0.3, 0.4]] * 32 + [[0.3 + 5e-11, 0.4 - 5e-11]] * 32, False),
+        # Two points 1.2e-10 apart: rank 0, their singular value is 8.5e-11.
+        ([[0.3, 0.4], [0.3 + 8.5e-11, 0.4 - 8.5e-11]], True),
+        ([[0.3, 0.4]] * 8, True),
+        ([[0.3, 0.4]], True),
+    ], ids=["halves", "close pair", "coincident", "one point"])
+    def test_line_and_hyperplane_fits_agree_on_degeneracy(self, points, degenerate):
+        # A two-token cloud is degenerate for the line fit exactly when the
+        # hyperplane fit says so: both judge its centered rank.
+        for fit in (fit_log_line, fit_log_hyperplane):
+            if degenerate:
+                with pytest.raises(DegenerateSampleError):
+                    fit(synthetic_orbit("x", points))
+            else:
+                fit(synthetic_orbit("x", points))
 
     def test_residual_measures_orthogonal_scatter(self):
         sample = synthetic_orbit("x", [[0.0, 0.01], [1.0, -1.0], [2.0, -2.0],

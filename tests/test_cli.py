@@ -216,6 +216,18 @@ class TestSimulateFeesCommand:
                        "--start", "4,banana"])
         assert rc == 2
 
+    def test_invariant_overflow_is_one_error_line(self, capsys):
+        # Weights summing to 1 + 9e-13 pass the weight check, and lift the
+        # invariant of reserves at the float maximum past it.
+        top = "1.7976931348623157e308"
+        rc = cli.main(["simulate-fees", "--rule", "wprod:0.2,0.3,0.5000000000009", "--phi", "0",
+                       "--trades", "0", "--start", ",".join([top] * 3)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: invariant overflow") and \
+            captured.err.count("\n") == 1, captured.err
+
 
 class TestSeedRange:
     # Seeds key 64-bit Philox streams; one outside [0, 2**64) used to wrap

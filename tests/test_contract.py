@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from ammorbit import (AmmError, AxiomReport, ConfigError, DegenerateSampleError, DomainError,
-                      DriftSeries, HyperplaneFit, MalformedInputError, OrbitConfig, OrbitSample,
+                      DriftSeries, HyperplaneFit, MalformedInputError, NumericError,
+                      OrbitConfig, OrbitSample,
                       RuleSpec, SwapRule, Trajectory, TrialConfig, UsageError, Witness,
                       as_reserves, as_weights, chain,
                       check_all, check_equal_weights, check_slices, constant_sum,
@@ -52,6 +53,7 @@ def test_every_raise_is_an_amm_error_and_no_assert(path):
 
 
 BIG = 10**400  # an int beyond float range
+MAX = 1.7976931348623157e308  # the largest float
 WPROD = RuleSpec("wprod", weights=(0.2, 0.3, 0.5))
 # A 3-token rule that declares two weights.
 SHORT_WEIGHTS = SwapRule("short", 3, make_rule(WPROD).swap_in, weights=np.array([0.5, 0.5]))
@@ -194,6 +196,17 @@ MALFORMED = [
     ("fit_log_hyperplane too few points",
      lambda: fit_log_hyperplane(OrbitSample("r", (1, 1, 1), (), ((0, 0, 0), (1, -1, 0)), 0)),
      DegenerateSampleError),
+    ("fit_log_line one point", lambda: fit_log_line(OrbitSample("r", (1, 1), (), ((0, 0),), 0)),
+     DegenerateSampleError),
+    # Weights summing to 1 + 9e-13 pass as_weights, and lift the invariant of
+    # reserves at the float maximum past it.
+    ("weighted_gmean overflow", lambda: weighted_gmean([MAX, MAX], [0.5, 0.5 + 9e-13]),
+     NumericError),
+    ("scaling_factor overflow", lambda: scaling_factor([0.5, 0.5 + 9e-13], [MAX, MAX]),
+     NumericError),
+    ("exp_map underflow", lambda: exp_map([-800.0, 0.0]), NumericError),
+    ("scale overflow", lambda: scale([1e308, 1.0], [10.0, 1.0]), NumericError),
+    ("scale underflow", lambda: scale([1e-300, 1.0], [1e-300, 1.0]), NumericError),
 ]
 
 
@@ -223,7 +236,7 @@ def _cloud(bad):
 
 # A witness replays through swap()'s own checks, uncast, so a malformed one
 # reads as a violation with swap()'s error; a fit refuses a cloud that is not
-# finite and numeric before its spread and SVD steps.
+# finite and numeric before its SVD.
 REFUSED = [
     ("unit witness float token", lambda: _unit_witness(token_in=0.7), "error: bad token pair"),
     ("symmetry witness bool amount", lambda: _symmetry_witness(amount=True),
